@@ -341,6 +341,8 @@ def cmd_ratios(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _resolve_scenario(args)
     s = scenario.settings
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     family = twoqubit.werner_state if args.state_family == "werner" else twoqubit.tau_state
     grid = np.linspace(0.0, 1.0, args.points)
     rows = []
@@ -427,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,11 +89,6 @@ def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
     )
 
 
-def _row_space_basis(mat: np.ndarray) -> np.ndarray:
-    """Full 3x3 orthogonal basis whose leading columns span the row space."""
-    return np.linalg.svd(mat, full_matrices=True)[2].T
-
-
 def _aligned_rotation(s: MeasurementSettings, det_target: float) -> np.ndarray:
     """Orthogonal Q with det_target that maps B's row space onto A's.
 
@@ -101,8 +96,7 @@ def _aligned_rotation(s: MeasurementSettings, det_target: float) -> np.ndarray:
     alignment is what makes A Q B.T sit at the outer body's farthest point
     from the inner body.
     """
-    va = _row_space_basis(s.a)
-    vb = _row_space_basis(s.b)
+    va, vb = s.row_basis_a, s.row_basis_b
     d = np.linalg.det(va) * np.linalg.det(vb)
     flip = det_target * d        # +-1
     return va @ np.diag([1.0, 1.0, flip]) @ vb.T

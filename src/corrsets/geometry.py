@@ -32,10 +32,9 @@ import numpy as np
 
 from . import twoqubit
 from .smallmat import (
-    EPS,
     RANK_TOL,
+    dead_zone_sign,
     det3_intrinsic,
-    det_sign,
     norm_minus,
     norm_plus,
     op_norm,
@@ -61,16 +60,26 @@ def _check_model(model: str) -> str:
     return model
 
 
-@dataclass
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+@dataclass(frozen=True)
 class MeasurementSettings:
-    """Measurement directions of both parties, one unit row per setting."""
+    """Measurement directions of both parties, one unit row per setting.
+
+    Immutable: ``a`` and ``b`` are read-only copies of the input, so the
+    factorizations cached on first use (ranks, pseudoinverses, row-space
+    bases) cannot go stale.
+    """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
         if a.ndim != 2 or a.shape[1] != 3:
             raise ValueError(f"A must be m x 3, got {a.shape}")
         if b.shape != a.shape:
@@ -81,8 +90,8 @@ class MeasurementSettings:
             norms = np.linalg.norm(mat, axis=1)
             if np.max(np.abs(norms - 1.0)) > UNIT_ROW_TOL:
                 raise ValueError(f"rows of {name} must be unit vectors")
-        self.a = a
-        self.b = b
+        object.__setattr__(self, "a", _read_only(a))
+        object.__setattr__(self, "b", _read_only(b))
 
     @property
     def m(self) -> int:
@@ -90,11 +99,11 @@ class MeasurementSettings:
 
     @cached_property
     def gram_a(self) -> np.ndarray:
-        return self.a @ self.a.T
+        return _read_only(self.a @ self.a.T)
 
     @cached_property
     def gram_b(self) -> np.ndarray:
-        return self.b @ self.b.T
+        return _read_only(self.b @ self.b.T)
 
     @cached_property
     def rank_a(self) -> int:
@@ -108,6 +117,26 @@ class MeasurementSettings:
     def r(self) -> int:
         """min rank of the two setting matrices; controls which sets coincide."""
         return min(self.rank_a, self.rank_b)
+
+    @cached_property
+    def pinv_a(self) -> np.ndarray:
+        """Pseudoinverse A^+ (3 x m), read-only."""
+        return _read_only(pinv(self.a))
+
+    @cached_property
+    def pinv_b(self) -> np.ndarray:
+        """Pseudoinverse B^+ (3 x m), read-only."""
+        return _read_only(pinv(self.b))
+
+    @cached_property
+    def row_basis_a(self) -> np.ndarray:
+        """Orthogonal 3x3 basis whose leading columns span the row space of A."""
+        return _read_only(np.linalg.svd(self.a, full_matrices=True)[2].T)
+
+    @cached_property
+    def row_basis_b(self) -> np.ndarray:
+        """Orthogonal 3x3 basis whose leading columns span the row space of B."""
+        return _read_only(np.linalg.svd(self.b, full_matrices=True)[2].T)
 
 
 def _numerical_rank(x) -> int:
@@ -232,8 +261,7 @@ def _gauge_core(s: MeasurementSettings, c):
     norm_c = float(np.linalg.norm(c))
     if norm_c == 0.0:
         return True, np.zeros((3, 3)), 0.0
-    a_pinv = pinv(s.a)
-    b_pinv = pinv(s.b)
+    a_pinv, b_pinv = s.pinv_a, s.pinv_b
     if _range_deficit(s.a @ a_pinv, c) > RANGE_TOL * norm_c:
         return False, None, norm_c
     if _range_deficit(s.b @ b_pinv, c.T) > RANGE_TOL * norm_c:
@@ -320,9 +348,7 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     else:
         eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
         core = u @ np.diag([1.0, 1.0, eta]) @ vt
-    at_pinv = pinv(s.a).T          # (A.T)^+
-    b_pinv = pinv(s.b)
-    return at_pinv @ core @ b_pinv
+    return s.pinv_a.T @ core @ s.pinv_b
 
 
 def membership(model: str, s: MeasurementSettings, c, tol: float = 1e-9) -> bool:
@@ -375,9 +401,7 @@ def construct_target_Z(s: MeasurementSettings, target, det_sign_req: int = 0) ->
     d = np.zeros(3)
     d[: target.size] = target
 
-    # Orthonormal bases whose leading columns span the row spaces.
-    va = np.linalg.svd(s.a, full_matrices=True)[2].T
-    vb = np.linalg.svd(s.b, full_matrices=True)[2].T
+    va, vb = s.row_basis_a, s.row_basis_b
 
     if det_sign_req not in (-1, 0, 1):
         raise ValueError("det_sign_req must be -1, 0 or +1")
@@ -389,7 +413,7 @@ def construct_target_Z(s: MeasurementSettings, target, det_sign_req: int = 0) ->
             d[2] = -d[2]
 
     frame = va @ np.diag(d) @ vb.T
-    return pinv(s.a).T @ frame @ pinv(s.b)
+    return s.pinv_a.T @ frame @ s.pinv_b
 
 
 def _psd_sqrt(g: np.ndarray) -> np.ndarray:
@@ -418,9 +442,5 @@ def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
         return float(sv.sum())
     s3 = np.zeros(3)
     s3[: min(3, sv.size)] = sv[:3]
-    det = det3_intrinsic(s.a, s.b, z)
-    if abs(det) < 1e-12 * s3[0] * s3[1] * max(s3[2], EPS):
-        sign = 0.0
-    else:
-        sign = 1.0 if det > 0 else -1.0
+    sign = float(dead_zone_sign(det3_intrinsic(s.a, s.b, z), s3))
     return float(s3[0] + s3[1] - s3[2] * sign)

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import MAX, QM, SEP, MeasurementSettings
-from .smallmat import EPS, max_trace_over_rotations
+from .smallmat import dead_zone_sign, max_trace_over_rotations, random_rotation
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.nda
         return sv[:, 0]
     if model == MAX:
         return sv.sum(axis=1)
-    dets = np.linalg.det(frames)
-    dead = np.abs(dets) < 1e-12 * sv[:, 0] * sv[:, 1] * np.maximum(sv[:, 2], EPS)
-    signs = np.where(dead, 0.0, np.sign(dets))
+    signs = dead_zone_sign(np.linalg.det(frames), sv)
     return sv[:, 0] + sv[:, 1] - sv[:, 2] * signs
 
 
@@ -245,22 +243,6 @@ class ScanResult(NamedTuple):
     maximizer_c: np.ndarray
 
 
-def _haar_batch(rng, n: int, component: str) -> np.ndarray:
-    """Stack of n Haar-random 3x3 matrices from the requested component."""
-    g = rng.standard_normal((n, 3, 3))
-    q, r = np.linalg.qr(g)
-    diag_signs = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)
-    q = q * diag_signs[:, None, :]
-    det = np.linalg.det(q)
-    if component == "SO3":
-        q[det < 0.0, :, 2] *= -1.0
-    elif component == "SO3_minus":
-        q[det > 0.0, :, 2] *= -1.0
-    elif component != "O3":
-        raise ValueError(f"unknown component {component!r}")
-    return q
-
-
 def ratio_scan(s: MeasurementSettings, pair: str,
                cfg: OracleConfig = DEFAULT_CONFIG) -> ScanResult:
     """Sampled containment radius: gauge of the inner body at random extreme
@@ -274,7 +256,8 @@ def ratio_scan(s: MeasurementSettings, pair: str,
     rng = np.random.default_rng(cfg.seed)
     best = -np.inf
     best_c = None
-    for q in _haar_batch(rng, cfg.samples, component):
+    for _ in range(cfg.samples):
+        q = random_rotation(rng, component)
         c = geometry.extreme_point(QM if inner == SEP else MAX, s, q)
         value = geometry.gauge(inner, s, c).value
         if value > best:

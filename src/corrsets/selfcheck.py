@@ -535,21 +535,14 @@ def _check_state_thresholds(rng, sizes):
     quantumness of the noisy beyond-quantum family flips at 2/3."""
     del rng, sizes
 
-    def bisect(flag, lo, hi):
-        while hi - lo > 1e-7:
-            mid = 0.5 * (lo + hi)
-            if flag(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    def flip_point(flag):
+        # The shared bisection wants a function that is positive below the flip.
+        return detect._bisect_threshold(lambda p: -1.0 if flag(p) else 1.0, 0.0, 1.0)
 
-    werner_flip = bisect(
-        lambda p: twoqubit.classify_state(twoqubit.werner_state(p), restarts=8).is_separable,
-        0.0, 1.0)
-    tau_flip = bisect(
-        lambda p: twoqubit.classify_state(twoqubit.tau_state(p), restarts=8).is_quantum,
-        0.0, 1.0)
+    werner_flip = flip_point(
+        lambda p: twoqubit.classify_state(twoqubit.werner_state(p), restarts=8).is_separable)
+    tau_flip = flip_point(
+        lambda p: twoqubit.classify_state(twoqubit.tau_state(p), restarts=8).is_quantum)
     worst = max(abs(werner_flip - 2.0 / 3.0), abs(tau_flip - 2.0 / 3.0))
     return [_result("state-class-thresholds", 2, worst, 1e-6)]
 

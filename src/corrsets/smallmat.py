@@ -6,7 +6,9 @@ the package is built on: SVD with a guaranteed ordering, a rotation-factored
 SVD variant, Moore-Penrose pseudoinverse, the operator and trace norms, the
 signed norms s1 + s2 +/- s3 * sgn(det), orthogonal Procrustes maximization
 over rotation components, Kronecker/vectorization helpers, a basis-free
-3x3 determinant expansion, and Haar-distributed random rotations.
+3x3 determinant expansion, and Haar-distributed random rotations. The
+package has one determinant sign rule, dead_zone_sign (elementwise, so
+stacks use it too), and one Haar sampler, random_rotation.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -117,37 +119,44 @@ def trace_norm(x) -> float:
     return float(svdvals(x).sum())
 
 
-def det_sign(x) -> float:
-    """Sign of det(x) for a 3x3 matrix, with a dead zone near zero.
+def dead_zone_sign(det, sv):
+    """Sign of a 3x3 determinant with a dead zone near zero, elementwise.
 
-    Returns 0.0 when |det(x)| is negligible against the singular value
-    product s1 * s2 * max(s3, eps). The signed norms are continuous there
-    (the s3 term vanishes), so the collapsed sign costs no accuracy.
+    ``det`` holds determinants and ``sv`` the matching singular values,
+    descending along the last axis (zero-padded to three), so stacks of
+    matrices work as well as single ones. The sign is 0.0 wherever |det| is
+    at most s1 * s2 * max(s3, eps) * 1e-12, exactly singular matrices of
+    rank <= 1 included. The signed norms are continuous there (the s3 term
+    vanishes), so the collapsed sign costs no accuracy.
     """
+    dead = np.abs(det) <= 1e-12 * sv[..., 0] * sv[..., 1] * np.maximum(sv[..., 2], EPS)
+    return np.where(dead, 0.0, np.sign(det))
+
+
+def _signed_svals(x, name: str):
+    """Singular values of a 3x3 matrix and its dead-zoned determinant sign."""
     x = _as_finite_matrix(x)
     if x.shape != (3, 3):
-        raise ValueError(f"det_sign needs a 3x3 matrix, got {x.shape}")
-    d = float(np.linalg.det(x))
-    s = svdvals(x)
-    if abs(d) < 1e-12 * s[0] * s[1] * max(s[2], EPS):
-        return 0.0
-    return 1.0 if d > 0 else -1.0
+        raise ValueError(f"{name} needs a 3x3 matrix, got {x.shape}")
+    s = np.linalg.svd(x, compute_uv=False)
+    return s, float(dead_zone_sign(np.linalg.det(x), s))
+
+
+def det_sign(x) -> float:
+    """Sign of det(x) for a 3x3 matrix, with the dead zone of dead_zone_sign."""
+    return _signed_svals(x, "det_sign")[1]
 
 
 def norm_plus(x) -> float:
     """s1 + s2 + s3 * sgn(det x) for a 3x3 matrix."""
-    s = svdvals(x)
-    if s.shape != (3,):
-        raise ValueError("norm_plus is defined for 3x3 matrices")
-    return float(s[0] + s[1] + s[2] * det_sign(x))
+    s, sign = _signed_svals(x, "norm_plus")
+    return float(s[0] + s[1] + s[2] * sign)
 
 
 def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
-    s = svdvals(x)
-    if s.shape != (3,):
-        raise ValueError("norm_minus is defined for 3x3 matrices")
-    return float(s[0] + s[1] - s[2] * det_sign(x))
+    s, sign = _signed_svals(x, "norm_minus")
+    return float(s[0] + s[1] - s[2] * sign)
 
 
 def max_trace_over_rotations(x, component: str = "SO3"):

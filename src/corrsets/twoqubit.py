@@ -281,14 +281,6 @@ def random_separable_state(rng, max_terms: int = 16) -> np.ndarray:
     return sum(w * random_product_state(rng) for w in weights)
 
 
-def random_pure_state(rng) -> np.ndarray:
-    """Haar-random pure two-qubit state."""
-    rng = np.random.default_rng(rng)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def random_quantum_state(rng) -> np.ndarray:
     """Mixed two-qubit state from a normalized Wishart matrix."""
     rng = np.random.default_rng(rng)

@@ -256,7 +256,7 @@ def test_criterion_09_rigidity_and_symmetry():
     """Orthogonal correlation blocks forbid local parts; gauge parity."""
     rng = np.random.default_rng(78)
     for _ in range(1000):
-        q = oracles._haar_batch(rng, 1, "O3")[0]
+        q = random_rotation(rng, "O3")
         ra = rng.standard_normal(3)
         ra *= (0.05 + 0.45 * rng.random()) / np.linalg.norm(ra)
         # couple the local parts so the easy slice argument is neutralized;

@@ -144,6 +144,25 @@ def test_sweep_tau(capsys):
         assert np.isclose(float(g_str), 3.0 * (1.0 - float(p_str)), atol=1e-9)
 
 
+def test_sweep_rejects_empty_grid(capsys):
+    rc, out, err = run(capsys, "sweep", "--scenario", "pauli3", "--model", "qm",
+                       "--points", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--points" in err
+
+
+def test_ratios_arithmetic_error_exits_2(capsys, monkeypatch):
+    def broken(s, pair):
+        raise ArithmeticError("constructed maximizer misses the radius")
+
+    monkeypatch.setattr(cli.detect, "containment_radius", broken)
+    rc, out, err = run(capsys, "ratios", "--scenario", "pauli3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: constructed maximizer")
+
+
 def test_verify_quick(capsys):
     rc, out, _ = run(capsys, "verify", "--level", "quick")
     assert rc == 0

@@ -30,6 +30,21 @@ def test_settings_validation():
     assert flat.m == 2 and flat.r == 2
 
 
+def test_settings_are_immutable():
+    rows = np.eye(3)
+    s = MeasurementSettings(rows, rows)
+    assert s.r == 3
+    with pytest.raises(AttributeError):
+        s.a = np.tile([0.0, 0.0, 1.0], (3, 1))
+    with pytest.raises(ValueError):
+        s.a[0, 0] = 0.0
+    for cached in (s.pinv_a, s.pinv_b, s.row_basis_a, s.row_basis_b, s.gram_a):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+    rows[0, 0] = 0.5
+    assert s.a[0, 0] == 1.0 and s.r == 3
+
+
 def test_gram_angles():
     s = planar_settings(0.8, 1.1, rng=5)
     assert np.isclose(s.a[0] @ s.a[1], np.cos(0.8))

@@ -238,6 +238,24 @@ def test_det_sign_dead_zone():
     assert det_sign(np.diag([1.0, 1.0, 0.0])) == 0.0
     assert det_sign(np.eye(3)) == 1.0
     assert det_sign(np.diag([1.0, -1.0, 1.0])) == -1.0
+    assert det_sign(np.zeros((3, 3))) == 0.0
+    assert det_sign(np.diag([1.0, 0.0, 0.0])) == 0.0
+
+
+def test_det_sign_matches_elementwise_rule():
+    """The scalar sign is the stacked rule applied to one frame, exactly."""
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((4, 3, 3))
+    frames = np.concatenate([
+        rng.standard_normal((50, 3, 3)),
+        np.einsum("kij,kjl->kil", g[:, :, :2], rng.standard_normal((4, 2, 3))),
+        np.einsum("ki,kj->kij", g[:, :, 0], g[:, :, 1]),
+        np.zeros((2, 3, 3)),
+    ])
+    stacked = smallmat.dead_zone_sign(np.linalg.det(frames),
+                                      np.linalg.svd(frames, compute_uv=False))
+    assert [det_sign(x) for x in frames] == list(stacked)
+    assert list(stacked[-2:]) == [0.0, 0.0]
 
 
 def test_random_rotation_contract():
