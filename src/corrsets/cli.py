@@ -2,7 +2,8 @@
 
 Subcommands wrap the library: support/gauge evaluations on a scenario,
 witness construction for a target state, the verification battery, and the
-CSV reports (critical-noise table, containment radii, noise sweeps).
+CSV reports (critical-noise table, containment radii, noise sweeps). Every
+report goes through one emitter, which renders it as json, csv or text.
 
 Scenario files are JSON with keys "A" and "B" (row lists of Bloch
 directions), optional "Z" and "C" (m x m matrices), and an optional
@@ -61,21 +62,6 @@ class Scenario:
         raise ValueError(f"scenario {self.name!r} provides neither C nor a state")
 
 
-def _builtin_scenarios() -> dict:
-    eye = np.eye(3)
-    return {
-        "chsh": lambda: Scenario("chsh", detect.chsh_settings(),
-                                 z=np.array(detect.Z_CHSH),
-                                 state=twoqubit.werner_state(0.0)),
-        "pauli3": lambda: Scenario("pauli3", detect.pauli_settings(), z=eye.copy(),
-                                   state=twoqubit.werner_state(0.0)),
-        "b-rot": lambda: Scenario("b-rot", detect.rotated_settings(), z=eye.copy(),
-                                  state=twoqubit.werner_state(0.0)),
-        "i3322-opt": lambda: Scenario("i3322-opt", detect.i3322_settings(), z=eye.copy(),
-                                      state=twoqubit.werner_state(0.0)),
-    }
-
-
 def parse_state(value):
     """Resolve a state description from a scenario file or --state flag."""
     if isinstance(value, str):
@@ -90,12 +76,12 @@ def parse_state(value):
         missing = {"ra", "rb", "t"} - set(value)
         if missing:
             raise ValueError(f"Pauli-form state is missing {sorted(missing)}")
-        form = twoqubit.PauliForm(
-            weight=float(value.get("weight", 1.0)),
-            ra=np.asarray(value["ra"], dtype=float),
-            rb=np.asarray(value["rb"], dtype=float),
-            t=np.asarray(value["t"], dtype=float))
-        return twoqubit.pauli_assemble(form)
+        weight = float(value.get("weight", 1.0))
+        ra, rb, t = (np.asarray(value[key], dtype=float) for key in ("ra", "rb", "t"))
+        if ra.shape != (3,) or rb.shape != (3,) or t.shape != (3, 3):
+            raise ValueError("Pauli-form state needs 3-vectors ra and rb and a 3x3 t, "
+                             f"got shapes {ra.shape}, {rb.shape} and {t.shape}")
+        return twoqubit.pauli_assemble(twoqubit.PauliForm(weight, ra, rb, t))
     dense = np.asarray(value, dtype=float)
     if dense.shape == (4, 4, 2):
         return dense[..., 0] + 1j * dense[..., 1]
@@ -140,29 +126,40 @@ def _resolve_scenario(args) -> Scenario:
     if getattr(args, "file", None):
         return load_scenario(args.file)
     name = getattr(args, "scenario", None) or "chsh"
-    builtins = _builtin_scenarios()
-    if name not in builtins:
-        raise ValueError(f"unknown scenario {name!r}; built-ins: {sorted(builtins)}")
-    return builtins[name]()
+    # Looked up on each call, so that callers who rebind detect's functions see the calls.
+    settings = {"chsh": detect.chsh_settings, "pauli3": detect.pauli_settings,
+                "b-rot": detect.rotated_settings, "i3322-opt": detect.i3322_settings}
+    if name not in settings:
+        raise ValueError(f"unknown scenario {name!r}; built-ins: {sorted(settings)}")
+    z = np.array(detect.Z_CHSH) if name == "chsh" else np.eye(3)
+    return Scenario(name, settings[name](), z=z, state=twoqubit.werner_state(0.0))
 
 
-def _emit(args, payload: dict, csv_rows=None, text: str | None = None):
+def _emit(args, payload: dict, table=None, lines=None) -> None:
     """Write one report in the requested format.
 
-    payload is the json document (seed and version get attached); csv_rows
-    is (header, rows) for csv output; text is the human-readable block.
+    payload is the json document; seed and version get attached. table is
+    (header, rows) for csv. Text is lines plus a seed/version footer, or
+    the table with cells joined by spaces and an empty cell shown as "-"
+    when lines is None. The verification report has no table and names
+    seed and version in its first line: csv and text print its lines as
+    they are.
     """
-    payload = dict(payload, seed=args.seed, version=__version__)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(dict(payload, seed=args.seed, version=__version__),
+                         indent=2, sort_keys=True))
+    elif table is None:
+        print("\n".join(lines))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
         print(f"# corrsets {__version__} seed={args.seed}")
-        header, rows = csv_rows
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer = csv.writer(sys.stdout)
+        writer.writerow(table[0])
+        writer.writerows(table[1])
     else:
-        print(text.rstrip("\n"))
+        if lines is None:
+            lines = [" ".join(str(cell) or "-" for cell in row)
+                     for row in (table[0], *table[1])]
+        print("\n".join([*lines, f"seed={args.seed} version={__version__}"]))
 
 
 def _matrix_json(mat: np.ndarray):
@@ -177,33 +174,34 @@ def _matrix_text(mat: np.ndarray, indent: str = "  ") -> str:
     return "\n".join(indent + " ".join(_fmt(v) for v in row) for row in mat)
 
 
+def _spectral_report(args, scenario: Scenario, label: str, mat, value_repr: str,
+                     **fields) -> int:
+    """Report a support or gauge value with the singular values and the
+    determinant sign of the 3x3 matrix behind it (the frame or the core)."""
+    s = scenario.settings
+    sv = svdvals(mat)
+    sign = det_sign(mat)
+    payload = dict(fields, command=args.command, model=args.model, scenario=scenario.name,
+                   rank=s.r, **{f"{label}_singular_values": [float(x) for x in sv],
+                                f"{label}_det_sign": sign})
+    table = (("model", "value", "s1", "s2", "s3", "det_sign", "rank"),
+             [(args.model, value_repr, *(_fmt(x) for x in sv), _fmt(sign), s.r)])
+    _emit(args, payload, table, [
+        f"{args.command} {args.model} ({scenario.name}) = {value_repr}",
+        f"{label} singular values: {' '.join(_fmt(x) for x in sv)}",
+        f"{label} determinant sign: {_fmt(sign)}",
+        f"rank r: {s.r}",
+    ])
+    return 0
+
+
 def cmd_support(args) -> int:
     scenario = _resolve_scenario(args)
     s = scenario.settings
     z = scenario.coefficient()
     value = geometry.support(args.model, s, z)
-    frame = s.a.T @ z @ s.b
-    sv = svdvals(frame)
-    sign = det_sign(frame)
-    payload = {
-        "command": "support",
-        "model": args.model,
-        "scenario": scenario.name,
-        "value": value,
-        "frame_singular_values": [float(x) for x in sv],
-        "frame_det_sign": sign,
-        "rank": s.r,
-    }
-    rows = (("model", "value", "s1", "s2", "s3", "det_sign", "rank"),
-            [(args.model, _fmt(value), _fmt(sv[0]), _fmt(sv[1]), _fmt(sv[2]),
-              _fmt(sign), s.r)])
-    text = (f"support {args.model} ({scenario.name}) = {_fmt(value)}\n"
-            f"frame singular values: {' '.join(_fmt(x) for x in sv)}\n"
-            f"frame determinant sign: {_fmt(sign)}\n"
-            f"rank r: {s.r}\n"
-            f"seed={args.seed} version={__version__}")
-    _emit(args, payload, rows, text)
-    return 0
+    return _spectral_report(args, scenario, "frame", s.a.T @ z @ s.b, _fmt(value),
+                            value=value)
 
 
 def cmd_gauge(args) -> int:
@@ -211,30 +209,9 @@ def cmd_gauge(args) -> int:
     s = scenario.settings
     c = scenario.correlation()
     g = geometry.gauge(args.model, s, c)
-    w = pinv(s.a) @ c @ pinv(s.b).T
-    sv = svdvals(w)
-    sign = det_sign(w)
-    value_repr = _fmt(g.value) if g.finite else "infinite"
-    payload = {
-        "command": "gauge",
-        "model": args.model,
-        "scenario": scenario.name,
-        "finite": g.finite,
-        "value": g.value if g.finite else None,
-        "core_singular_values": [float(x) for x in sv],
-        "core_det_sign": sign,
-        "rank": s.r,
-    }
-    rows = (("model", "value", "s1", "s2", "s3", "det_sign", "rank"),
-            [(args.model, value_repr, _fmt(sv[0]), _fmt(sv[1]), _fmt(sv[2]),
-              _fmt(sign), s.r)])
-    text = (f"gauge {args.model} ({scenario.name}) = {value_repr}\n"
-            f"core singular values: {' '.join(_fmt(x) for x in sv)}\n"
-            f"core determinant sign: {_fmt(sign)}\n"
-            f"rank r: {s.r}\n"
-            f"seed={args.seed} version={__version__}")
-    _emit(args, payload, rows, text)
-    return 0
+    return _spectral_report(args, scenario, "core", pinv(s.a) @ c @ pinv(s.b).T,
+                            _fmt(g.value) if g.finite else "infinite",
+                            finite=g.finite, value=g.value if g.finite else None)
 
 
 def cmd_witness(args) -> int:
@@ -244,11 +221,6 @@ def cmd_witness(args) -> int:
     if state is None:
         raise ValueError("no target state: pass --state or put one in the scenario file")
     c = geometry.correlation_matrix(state, s)
-    g = geometry.gauge(args.model, s, c)
-    if not g.finite:
-        raise ValueError("target correlation has infinite gauge; no finite witness")
-    if g.value <= 0.0:
-        raise ValueError("target correlation vanishes; nothing to witness")
     report = detect.witness_report(args.model, s, c)
     round_trip = float(np.sum(report.z_star * c)) / geometry.support(args.model, s, report.z_star)
     detectable = report.sensitivity > 1.0
@@ -263,10 +235,10 @@ def cmd_witness(args) -> int:
         "z_star": _matrix_json(report.z_star),
         "witness": _matrix_json(report.witness),
     }
-    rows = (("model", "sensitivity", "p_crit", "detectable", "round_trip"),
-            [(args.model, _fmt(report.sensitivity), _fmt(report.p_crit),
-              str(detectable).lower(), _fmt(round_trip))])
-    lines = [
+    table = (("model", "sensitivity", "p_crit", "detectable", "round_trip"),
+             [(args.model, _fmt(report.sensitivity), _fmt(report.p_crit),
+               str(detectable).lower(), _fmt(round_trip))])
+    _emit(args, payload, table, [
         f"witness {args.model} ({scenario.name})",
         f"sensitivity (gauge) = {_fmt(report.sensitivity)}",
         f"p_crit = {_fmt(report.p_crit)}",
@@ -276,9 +248,7 @@ def cmd_witness(args) -> int:
         _matrix_text(report.z_star),
         "witness operator:",
         _matrix_text(report.witness),
-        f"seed={args.seed} version={__version__}",
-    ]
-    _emit(args, payload, rows, "\n".join(lines))
+    ])
     return 0
 
 
@@ -287,17 +257,14 @@ def cmd_verify(args) -> int:
     if getattr(args, "file", None) or getattr(args, "scenario", None):
         scenario = _resolve_scenario(args).settings
     report = selfcheck.run_battery(level=args.level, seed=args.seed, scenario=scenario)
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "level": report.level,
-            "ok": report.ok,
-            "results": [{"name": r.name, "passed": r.passed, "instances": r.instances,
-                         "worst": r.worst, "detail": r.detail} for r in report.results],
-        }
-        _emit(args, payload, None, None)
-    else:
-        print(report.render().rstrip("\n"))
+    payload = {
+        "command": "verify",
+        "level": report.level,
+        "ok": report.ok,
+        "results": [{"name": r.name, "passed": r.passed, "instances": r.instances,
+                     "worst": r.worst, "detail": r.detail} for r in report.results],
+    }
+    _emit(args, payload, None, report.render().rstrip("\n").split("\n"))
     return 0 if report.ok else 1
 
 
@@ -312,10 +279,7 @@ def cmd_table1(args) -> int:
         "rows": [{"method": r.method, "two_setting": r.two_setting,
                   "three_setting": r.three_setting} for r in rows],
     }
-    text = "\n".join(["method two_settings three_settings"]
-                     + [f"{m} {t2 or '-'} {t3 or '-'}" for m, t2, t3 in cells]
-                     + [f"seed={args.seed} version={__version__}"])
-    _emit(args, payload, (("method", "two_settings", "three_settings"), cells), text)
+    _emit(args, payload, (("method", "two_settings", "three_settings"), cells))
     return 0
 
 
@@ -331,10 +295,7 @@ def cmd_ratios(args) -> int:
         "rank": s.r,
         "radii": {r.pair[0] + "-over-" + r.pair[1]: r.radius for r in reports},
     }
-    text = "\n".join(["pair rank radius"]
-                     + [f"{p} {rank} {rad}" for p, rank, rad in cells]
-                     + [f"seed={args.seed} version={__version__}"])
-    _emit(args, payload, (("pair", "rank", "radius"), cells), text)
+    _emit(args, payload, (("pair", "rank", "radius"), cells))
     return 0
 
 
@@ -355,12 +316,11 @@ def cmd_sweep(args) -> int:
         "scenario": scenario.name,
         "model": args.model,
         "family": args.state_family,
+        # the json carries the 12-digit values that text and csv print
         "points": [{"p": float(p), "gauge": (float(v) if v != "inf" else None)}
                    for p, v in rows],
     }
-    text = "\n".join(["p gauge"] + [f"{p} {v}" for p, v in rows]
-                     + [f"seed={args.seed} version={__version__}"])
-    _emit(args, payload, (("p", "gauge"), rows), text)
+    _emit(args, payload, (("p", "gauge"), rows))
     return 0
 
 

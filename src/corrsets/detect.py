@@ -77,8 +77,10 @@ def critical_noise(model: str, s: MeasurementSettings, c) -> float:
 def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
     """Bundle the optimal witness for a target correlation matrix."""
     g = geometry.gauge(model, s, c)
-    if not g.finite or g.value <= 0.0:
-        raise ValueError("target needs a finite positive gauge value")
+    if not g.finite:
+        raise ValueError("target correlation has infinite gauge; no finite witness")
+    if g.value <= 0.0:
+        raise ValueError("target correlation vanishes; nothing to witness")
     z_star = geometry.optimizer_z(model, s, c)
     build = entanglement_witness if model == SEP else bqs_witness
     return WitnessReport(

@@ -94,13 +94,32 @@ def _result(name, n, worst, tol, detail="") -> CheckResult:
     return CheckResult(name, bool(worst <= tol), n, float(worst), detail)
 
 
+class _Worst:
+    """The largest deviation offered so far and the replay of its instance.
+
+    Only a strictly larger deviation replaces the worst; the instance that
+    set it is serialized right then.
+    """
+
+    def __init__(self):
+        self.value = 0.0
+        self.detail = ""
+
+    def offer(self, dev, **instance) -> None:
+        if dev > self.value:
+            self.value = dev
+            self.detail = _serialize(**instance)
+
+    def result(self, name, n, tol) -> CheckResult:
+        return _result(name, n, self.value, tol, self.detail)
+
+
 def _check_support_oracles(rng, sizes):
     """Closed-form supports vs grid/eigensolve oracles across (m, rank)."""
     n = sizes["combo"]
     cfg = OracleConfig(seed=int(rng.integers(2**31)), grid_points=1024, restarts=12)
-    worst = {SEP: 0.0, QM: 0.0, MAX: 0.0}
+    worst = {SEP: _Worst(), QM: _Worst(), MAX: _Worst()}
     lower_breach = 0.0
-    bad = {SEP: "", QM: "", MAX: ""}
     count = 0
     for m, rank in _COMBOS:
         for _ in range(n):
@@ -113,20 +132,16 @@ def _check_support_oracles(rng, sizes):
                 (MAX, oracles.support_max_oracle(s, z)),
             ):
                 value = geometry.support(model, s, z)
-                dev = abs(value - reference)
                 if model == SEP:
                     lower_breach = max(lower_breach, reference - value)
-                if dev > worst[model]:
-                    worst[model] = dev
-                    bad[model] = _serialize(model=model, a=s.a, b=s.b, z=z,
-                                            closed=value, oracle=reference)
-    results = [
-        _result("support-vs-oracle-sep", count, worst[SEP], _TOL_SEP_ORACLE, bad[SEP]),
-        _result("support-vs-oracle-qm", count, worst[QM], _TOL_EIG, bad[QM]),
-        _result("support-vs-oracle-max", count, worst[MAX], _TOL_EIG, bad[MAX]),
+                worst[model].offer(abs(value - reference), model=model, a=s.a, b=s.b,
+                                   z=z, closed=value, oracle=reference)
+    return [
+        worst[SEP].result("support-vs-oracle-sep", count, _TOL_SEP_ORACLE),
+        worst[QM].result("support-vs-oracle-qm", count, _TOL_EIG),
+        worst[MAX].result("support-vs-oracle-max", count, _TOL_EIG),
         _result("sep-oracle-one-sided", count, lower_breach, _TOL_EXACT),
     ]
-    return results
 
 
 def _random_finite_c(rng, s):
@@ -139,8 +154,7 @@ def _random_finite_c(rng, s):
 def _check_duality(rng, sizes):
     """Optimizer attainment: Tr[Z*^T C] / support(Z*) reproduces the gauge."""
     n = sizes["dual"]
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     count = 0
     for model in geometry.MODELS:
         for _ in range(n):
@@ -154,20 +168,16 @@ def _check_duality(rng, sizes):
             count += 1
             z_star = geometry.optimizer_z(model, s, c)
             ratio = float(np.sum(z_star * c)) / geometry.support(model, s, z_star)
-            dev = abs(ratio - g.value) / max(1.0, g.value)
-            if dev > worst:
-                worst = dev
-                bad = _serialize(model=model, a=s.a, b=s.b, c=c,
-                                 gauge=g.value, ratio=ratio)
-    return [_result("gauge-duality-attainment", count, worst, 1e-8, bad)]
+            worst.offer(abs(ratio - g.value) / max(1.0, g.value), model=model, a=s.a,
+                        b=s.b, c=c, gauge=g.value, ratio=ratio)
+    return [worst.result("gauge-duality-attainment", count, 1e-8)]
 
 
 def _check_dual_oracle(rng, sizes):
     """Sampled dual ratios agree with the gauge once Z* is in the pool."""
     n = sizes["dual_oracle"]
     cfg = OracleConfig(seed=int(rng.integers(2**31)), samples=4000)
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     count = 0
     for model in geometry.MODELS:
         for _ in range(n):
@@ -178,11 +188,9 @@ def _check_dual_oracle(rng, sizes):
             if not g.finite or g.value <= 1e-12:
                 continue
             count += 1
-            dev = abs(oracles.gauge_dual_oracle(model, s, c, cfg) - g.value)
-            if dev > worst:
-                worst = dev
-                bad = _serialize(model=model, a=s.a, b=s.b, c=c, gauge=g.value)
-    return [_result("gauge-vs-dual-oracle", count, worst, 1e-8, bad)]
+            worst.offer(abs(oracles.gauge_dual_oracle(model, s, c, cfg) - g.value),
+                        model=model, a=s.a, b=s.b, c=c, gauge=g.value)
+    return [worst.result("gauge-vs-dual-oracle", count, 1e-8)]
 
 
 def _gram_2x2(theta):
@@ -222,8 +230,7 @@ def _check_m2_forms(rng, sizes):
     since the gauge forms blow up as the angles degenerate.
     """
     n = sizes["m2"]
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     for i in range(n):
         near_degenerate = i % 8 == 7
         if near_degenerate:
@@ -282,12 +289,10 @@ def _check_m2_forms(rng, sizes):
             checks.append((g_qm.value, vec_val, "gauge-qm-vec"))
 
         for general, closed, tag in checks:
-            dev = abs(general - closed) / max(1.0, abs(general))
-            if dev > worst:
-                worst = dev
-                bad = _serialize(tag=tag, alpha=alpha, beta=beta, a=s.a, b=s.b,
-                                 z=z, c=c, general=general, closed=closed)
-    return [_result("m2-closed-forms", n, worst, _TOL_EXACT, bad)]
+            worst.offer(abs(general - closed) / max(1.0, abs(general)), tag=tag,
+                        alpha=alpha, beta=beta, a=s.a, b=s.b, z=z, c=c,
+                        general=general, closed=closed)
+    return [worst.result("m2-closed-forms", n, _TOL_EXACT)]
 
 
 def _check_kernel_identities(rng, sizes):
@@ -388,8 +393,7 @@ def _check_asymmetric_norms(rng, sizes):
 def _check_gram_equivalence(rng, sizes):
     """Supports depend on the settings only through their Gram matrices."""
     n = sizes["identity"]
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     for _ in range(n):
         m = int(rng.integers(2, 6))
         s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
@@ -397,19 +401,15 @@ def _check_gram_equivalence(rng, sizes):
         for model in geometry.MODELS:
             direct = geometry.support(model, s, z)
             gram = geometry.gram_equivalent_support(s, z, model)
-            dev = abs(direct - gram) / max(1.0, abs(direct))
-            if dev > worst:
-                worst = dev
-                bad = _serialize(model=model, a=s.a, b=s.b, z=z,
-                                 direct=direct, gram=gram)
-    return [_result("gram-equivalence", n, worst, _TOL_EXACT, bad)]
+            worst.offer(abs(direct - gram) / max(1.0, abs(direct)), model=model,
+                        a=s.a, b=s.b, z=z, direct=direct, gram=gram)
+    return [worst.result("gram-equivalence", n, _TOL_EXACT)]
 
 
 def _check_bell_spectrum(rng, sizes):
     """Operator eigenvalues equal the odd signed sums of the special SVD."""
     n = sizes["identity"]
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     signs = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]])
     for _ in range(n):
         m = int(rng.integers(2, 6))
@@ -419,11 +419,9 @@ def _check_bell_spectrum(rng, sizes):
         tilde = special_svd(frame).s
         predicted = np.sort(signs @ tilde)
         actual = np.linalg.eigvalsh(twoqubit.bell_operator(s, z))
-        dev = float(np.abs(predicted - actual).max()) / max(1.0, abs(tilde).max())
-        if dev > worst:
-            worst = dev
-            bad = _serialize(a=s.a, b=s.b, z=z, predicted=predicted, actual=actual)
-    return [_result("bell-operator-spectrum", n, worst, _TOL_EXACT, bad)]
+        worst.offer(float(np.abs(predicted - actual).max()) / max(1.0, abs(tilde).max()),
+                    a=s.a, b=s.b, z=z, predicted=predicted, actual=actual)
+    return [worst.result("bell-operator-spectrum", n, _TOL_EXACT)]
 
 
 def _check_witness_mc(rng, sizes):
@@ -436,18 +434,14 @@ def _check_witness_mc(rng, sizes):
     sep_states = np.stack([twoqubit.random_separable_state(rng) for _ in range(n_states)])
     qm_states = np.stack([twoqubit.random_quantum_state(rng) for _ in range(n_states)])
 
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     for _ in range(n_z):
         z = rng.standard_normal((3, 3))
         for states, build, tag in ((sep_states, detect.entanglement_witness, "sep"),
                                    (qm_states, detect.bqs_witness, "qm")):
             w = build(s, z)
             values = np.einsum("kij,ji->k", states, w).real
-            breach = float(-values.min())
-            if breach > worst:
-                worst = breach
-                bad = _serialize(tag=tag, z=z, value=float(values.min()))
+            worst.offer(float(-values.min()), tag=tag, z=z, value=float(values.min()))
 
     # Margin at the constructed maximizers: 1 - radius on both witnesses.
     margin_dev = 0.0
@@ -463,7 +457,7 @@ def _check_witness_mc(rng, sizes):
                      abs(float(np.trace(twoqubit.rho_max() @ w_bqs).real) - (1.0 - 3.0)))
 
     return [
-        _result("witness-nonnegativity", n_states * n_z * 2, worst, _TOL_EXACT, bad),
+        worst.result("witness-nonnegativity", n_states * n_z * 2, _TOL_EXACT),
         _result("witness-margin", 2, margin_dev, _TOL_EXACT),
     ]
 
@@ -482,17 +476,13 @@ def _check_radii(rng, sizes):
         "rank1": MeasurementSettings(np.tile([0.0, 0.0, 1.0], (2, 1)),
                                      np.tile([1.0, 0.0, 0.0], (2, 1))),
     }
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     for name, s in scenarios.items():
         for pair, want in zip((detect.QM_OVER_SEP, detect.MAX_OVER_QM), expected[name]):
             report = detect.containment_radius(s, pair)
-            dev = abs(report.radius - want)
             reached = geometry.gauge(report.pair[1], s, report.maximizer_c)
-            dev = max(dev, abs(reached.value - want))
-            if dev > worst:
-                worst = dev
-                bad = _serialize(scenario=name, pair=pair, radius=report.radius)
+            worst.offer(max(abs(report.radius - want), abs(reached.value - want)),
+                        scenario=name, pair=pair, radius=report.radius)
 
     # Alignment matters below full rank: an aligned reflection reaches 2,
     # a misaligned one stays strictly short of it.
@@ -508,7 +498,8 @@ def _check_radii(rng, sizes):
     misaligned = geometry.gauge(SEP, s2, s2.a @ tilted @ s2.b.T)
     align_dev = abs(aligned.value - 2.0)
     align_ok = misaligned.value < 2.0 - 1e-3
-    result = _result("radii-constructions", 8, max(worst, align_dev), 1e-8, bad)
+    result = _result("radii-constructions", 8, max(worst.value, align_dev), 1e-8,
+                     worst.detail)
     if not align_ok:
         result.passed = False
         result.detail = _serialize(misaligned=misaligned.value)
@@ -650,8 +641,7 @@ def _check_rigidity(rng, sizes):
     bound |r_A - Q r_B|; zero local parts sit exactly on the boundary.
     """
     n = sizes["rigidity"]
-    worst = 0.0
-    bad = ""
+    worst = _Worst()
     for i in range(n):
         q = random_rotation(rng, "O3")
         if i % 2 == 0:
@@ -670,10 +660,8 @@ def _check_rigidity(rng, sizes):
                 twoqubit.PauliForm(1.0, np.zeros(3), np.zeros(3), q), restarts=16,
                 seed=int(rng.integers(2**31)))
             dev = abs(value)
-        if dev > worst:
-            worst = dev
-            bad = _serialize(q=q, value=value, case="local" if i % 2 == 0 else "bare")
-    return [_result("extremal-rigidity", n, worst, 1e-7, bad)]
+        worst.offer(dev, q=q, value=value, case="local" if i % 2 == 0 else "bare")
+    return [worst.result("extremal-rigidity", n, 1e-7)]
 
 
 def _check_scenario(s: MeasurementSettings, seed: int):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -177,6 +178,46 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_json_keys(capsys):
+    rc, out, _ = run(capsys, "verify", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert set(payload) == {"command", "level", "ok", "results", "seed", "version"}
+    assert payload["command"] == "verify" and payload["ok"] is True
+    names = [r.name for r in selfcheck.run_battery("quick", 0).results]
+    assert [r["name"] for r in payload["results"]] == names
+    assert all(set(r) == {"name", "passed", "instances", "worst", "detail"}
+               for r in payload["results"])
+
+
+def test_verify_csv_prints_text_report(capsys):
+    # documented: the battery has no table, so csv prints the text report
+    rc_csv, out_csv, _ = run(capsys, "verify", "--format", "csv", "--seed", "5")
+    rc_text, out_text, _ = run(capsys, "verify", "--seed", "5")
+    assert rc_csv == rc_text == 0
+    assert out_csv == out_text
+    assert out_csv.startswith("verification report: level=quick seed=5 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1",),
+    ("ratios", "--scenario", "pauli3"),
+    ("ratios", "--scenario", "chsh"),
+    ("sweep", "--scenario", "pauli3", "--model", "sep", "--points", "5"),
+])
+def test_text_table_is_the_csv_table(capsys, argv):
+    rc, out_csv, _ = run(capsys, *argv, "--format", "csv", "--seed", "4")
+    assert rc == 0
+    rc, out_text, _ = run(capsys, *argv, "--seed", "4")
+    assert rc == 0
+    csv_lines = out_csv.splitlines()
+    assert csv_lines[0].startswith("# corrsets ")
+    csv_rows = [[cell or "-" for cell in row] for row in csv.reader(csv_lines[1:])]
+    text_lines = out_text.splitlines()
+    assert text_lines[-1].startswith("seed=4 version=")
+    assert [line.split(" ") for line in text_lines[:-1]] == csv_rows
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
     real = selfcheck.run_battery
 
@@ -259,6 +300,27 @@ def test_missing_state_for_witness(capsys, tmp_path):
     rc, _, err = run(capsys, "witness", "--model", "qm", "--file", str(path))
     assert rc == 2
     assert "error:" in err
+
+
+def test_pauli_form_state_with_wrong_shape(capsys, tmp_path):
+    good = {"ra": [0, 0, 0], "rb": [0, 0, 0], "t": np.zeros((3, 3)).tolist()}
+    for key, bad in (("ra", [0, 0]), ("ra", [0, 0, 0, 0]), ("t", np.zeros((2, 2)).tolist())):
+        path = tmp_path / f"shape-{key}-{len(bad)}.json"
+        path.write_text(json.dumps({"A": np.eye(3).tolist(), "B": np.eye(3).tolist(),
+                                    "Z": np.eye(3).tolist(),
+                                    "state": dict(good, **{key: bad})}))
+        for command in ("support", "gauge", "witness"):
+            rc, out, err = run(capsys, command, "--model", "qm", "--file", str(path))
+            assert rc == 2, (key, bad, command)
+            assert out == ""
+            assert err.startswith("error: Pauli-form state needs")
+
+
+def test_witness_of_vanishing_target_exits_2(capsys):
+    rc, out, err = run(capsys, "witness", "--scenario", "pauli3", "--state", "werner:1")
+    assert rc == 2
+    assert out == ""
+    assert "nothing to witness" in err
 
 
 def test_bad_state_string(capsys):

@@ -8,7 +8,11 @@ Run it in two checkouts and compare the results byte for byte:
 
 For seeds 0-4 it prints the exit code and stdout of every command in the
 `reports` deck, `float.hex` of every `gauge-stream` output on the first 600
-items, and the rendered quick verification report. The inputs come from
+items, and the rendered quick verification report followed by one line per
+check with `float.hex` of its worst deviation and its replay detail (the
+render rounds the first and hides the second for passing checks). It then
+prints the exit code, stdout and stderr of `verify --format json|csv` at
+seed 0 and of a fixed list of input errors. The inputs come from
 bench/workloads.py, which is imported and not modified. Scenario files are
 written to one fixed directory under the system temporary directory, since
 their paths appear in the reports. The script takes no options.
@@ -16,6 +20,9 @@ their paths appear in the reports. The script takes no options.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import sys
 import tempfile
@@ -23,13 +30,15 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from corrsets import geometry, selfcheck  # noqa: E402
+from corrsets import cli, geometry, selfcheck  # noqa: E402
 
 import workloads  # noqa: E402
 
 SEEDS = range(5)
 GAUGE_ITEMS = 600
 WORKDIR = os.path.join(tempfile.gettempdir(), "corrsets-dump-outputs")
+
+_EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def _hex(x) -> str:
@@ -55,8 +64,49 @@ def gauge_stream_lines(seed: int):
 
 
 def verify_lines(seed: int):
+    report = selfcheck.run_battery("quick", seed)
     yield f"== verify-quick seed={seed}"
-    yield selfcheck.run_battery("quick", seed).render().rstrip("\n")
+    yield report.render().rstrip("\n")
+    for r in report.results:
+        yield f"-- check {r.name} {_hex(r.worst)} {r.detail}"
+
+
+def _write(name: str, text: str) -> str:
+    path = os.path.join(WORKDIR, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _error_decks():
+    absent = os.path.join(WORKDIR, "absent.json")
+    if os.path.exists(absent):
+        os.remove(absent)
+    malformed = _write("malformed.json", '{"A": [[1, 0')
+    no_z = _write("no-z.json", json.dumps({"A": _EYE, "B": _EYE, "C": _EYE}))
+    no_state = _write("no-state.json", json.dumps({"A": _EYE, "B": _EYE}))
+    return [
+        ["gauge", "--model", "qm", "--scenario", "nosuch"],
+        ["gauge", "--model", "qm", "--file", absent],
+        ["gauge", "--model", "qm", "--file", malformed],
+        ["support", "--model", "qm", "--file", no_z],
+        ["witness", "--model", "qm", "--file", no_state],
+        ["witness", "--model", "qm", "--scenario", "pauli3", "--state", "werner:1"],
+        ["sweep", "--model", "qm", "--scenario", "pauli3", "--points", "0"],
+    ]
+
+
+def cli_lines():
+    decks = [["verify", "--format", fmt, "--seed", "0"] for fmt in ("json", "csv")]
+    for argv in decks + _error_decks():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield f"== cli exit={code}: {' '.join(argv)}"
+        yield "-- stdout"
+        yield out.getvalue().rstrip("\n")
+        yield "-- stderr"
+        yield err.getvalue().rstrip("\n")
 
 
 def main() -> int:
@@ -68,6 +118,8 @@ def main() -> int:
         for produce in (reports_lines, gauge_stream_lines, verify_lines):
             for line in produce(seed):
                 print(line)
+    for line in cli_lines():
+        print(line)
     return 0
 
 
