@@ -10,7 +10,8 @@ directions), optional "Z" and "C" (m x m matrices), and an optional
 "state": one of "werner:p", "tau:p", "rho_max", a Pauli-form dict
 {"weight", "ra", "rb", "t"}, or a dense 4 x 4 matrix whose entries are
 [re, im] pairs. Rows of A and B are renormalized when they are within 1e-3
-of unit length and rejected otherwise.
+of unit length and rejected otherwise. Non-finite numbers (NaN, Infinity
+or an overflowing literal) anywhere in the file are rejected.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input errors.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import detect, geometry, selfcheck, twoqubit
 from ._version import __version__
 from .geometry import MeasurementSettings
-from .smallmat import det_sign, pinv, svdvals
+from .smallmat import pinv, signed_svals
 
 _ROW_REJECT_TOL = 1e-3
 
@@ -97,14 +98,21 @@ def _load_rows(data, key) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"{key} must be a list of 3-vectors")
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(np.abs(norms - 1.0) > _ROW_REJECT_TOL):
+    if not np.all(np.abs(norms - 1.0) <= _ROW_REJECT_TOL):
         raise ValueError(f"rows of {key} are not unit length (beyond {_ROW_REJECT_TOL})")
     return rows / norms[:, None]
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"scenario file holds a non-finite number: {text}")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     if not isinstance(data, dict):
         raise ValueError("scenario file must hold a JSON object")
     settings = MeasurementSettings(_load_rows(data, "A"), _load_rows(data, "B"))
@@ -179,8 +187,8 @@ def _spectral_report(args, scenario: Scenario, label: str, mat, value_repr: str,
     """Report a support or gauge value with the singular values and the
     determinant sign of the 3x3 matrix behind it (the frame or the core)."""
     s = scenario.settings
-    sv = svdvals(mat)
-    sign = det_sign(mat)
+    sv, sign = signed_svals(mat)
+    sign = float(sign)
     payload = dict(fields, command=args.command, model=args.model, scenario=scenario.name,
                    rank=s.r, **{f"{label}_singular_values": [float(x) for x in sv],
                                 f"{label}_det_sign": sign})

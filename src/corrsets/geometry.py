@@ -88,7 +88,7 @@ class MeasurementSettings:
             raise ValueError("need at least one measurement setting")
         for name, mat in (("A", a), ("B", b)):
             norms = np.linalg.norm(mat, axis=1)
-            if np.max(np.abs(norms - 1.0)) > UNIT_ROW_TOL:
+            if not np.max(np.abs(norms - 1.0)) <= UNIT_ROW_TOL:
                 raise ValueError(f"rows of {name} must be unit vectors")
         object.__setattr__(self, "a", _read_only(a))
         object.__setattr__(self, "b", _read_only(b))

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import MAX, QM, SEP, MeasurementSettings
-from .smallmat import dead_zone_sign, max_trace_over_rotations, random_rotation
+from .smallmat import max_trace_over_rotations, random_rotation, signed_svals
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,11 @@ def support_max_oracle(s: MeasurementSettings, z) -> float:
 def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.ndarray:
     """Closed-form support on a (k, m, m) stack of coefficient matrices."""
     frames = np.einsum("ia,kij,jb->kab", s.a, zs, s.b)
-    sv = np.linalg.svd(frames, compute_uv=False)
+    sv, signs = signed_svals(frames)
     if model == SEP:
         return sv[:, 0]
     if model == MAX:
         return sv.sum(axis=1)
-    signs = dead_zone_sign(np.linalg.det(frames), sv)
     return sv[:, 0] + sv[:, 1] - sv[:, 2] * signs
 
 

@@ -2,13 +2,14 @@
 
 Everything in this module operates on plain float ndarrays of modest size
 (2x2 up to roughly 6x6). It collects the handful of primitives the rest of
-the package is built on: SVD with a guaranteed ordering, a rotation-factored
-SVD variant, Moore-Penrose pseudoinverse, the operator and trace norms, the
-signed norms s1 + s2 +/- s3 * sgn(det), orthogonal Procrustes maximization
-over rotation components, Kronecker/vectorization helpers, a basis-free
-3x3 determinant expansion, and Haar-distributed random rotations. The
-package has one determinant sign rule, dead_zone_sign (elementwise, so
-stacks use it too), and one Haar sampler, random_rotation.
+the package is built on: singular values, a rotation-factored SVD variant,
+Moore-Penrose pseudoinverse, the operator and trace norms, the signed norms
+s1 + s2 +/- s3 * sgn(det), orthogonal Procrustes maximization over
+rotation components, Kronecker/vectorization helpers, a basis-free 3x3
+determinant expansion, and Haar-distributed random rotations. The package
+has one signed-singular-value routine, signed_svals, which takes a 3x3
+matrix or a (k, 3, 3) stack and applies the one determinant sign rule,
+dead_zone_sign; and one Haar sampler, random_rotation.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -33,14 +34,6 @@ for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
 LEVI_CIVITA.setflags(write=False)
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD ``x = u @ diag(s) @ v.T`` with ``s`` descending and >= 0."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
 class SpecialSvdResult(NamedTuple):
     """Rotation-factored SVD of a 3x3 matrix.
 
@@ -61,13 +54,6 @@ def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite entries")
     return x
-
-
-def svd(x) -> SvdResult:
-    """Thin singular value decomposition with descending singular values."""
-    x = _as_finite_matrix(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return SvdResult(u, s, vt.T)
 
 
 def svdvals(x) -> np.ndarray:
@@ -97,15 +83,13 @@ def special_svd(x) -> SpecialSvdResult:
     return SpecialSvdResult(u, signed, v)
 
 
-def pinv(x, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(x) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
-    Singular values below ``rank_tol`` times the largest one are truncated
+    Singular values below ``RANK_TOL`` times the largest one are truncated
     to zero, so nearly rank-deficient inputs invert stably.
     """
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be >= 0")
-    return np.linalg.pinv(_as_finite_matrix(x), rcond=rank_tol)
+    return np.linalg.pinv(_as_finite_matrix(x), rcond=RANK_TOL)
 
 
 def op_norm(x) -> float:
@@ -133,29 +117,32 @@ def dead_zone_sign(det, sv):
     return np.where(dead, 0.0, np.sign(det))
 
 
-def _signed_svals(x, name: str):
-    """Singular values of a 3x3 matrix and its dead-zoned determinant sign."""
-    x = _as_finite_matrix(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"{name} needs a 3x3 matrix, got {x.shape}")
+def signed_svals(x):
+    """Singular values and dead-zoned determinant sign of 3x3 matrices.
+
+    ``x`` is one 3x3 matrix or a (k, 3, 3) stack. Returns ``(s, sign)``
+    from one SVD and one determinant: ``s`` holds the singular values,
+    descending along the last axis, and ``sign`` the dead_zone_sign of
+    each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):
+        raise ValueError(f"signed_svals needs a 3x3 matrix or a (k, 3, 3) stack, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
     s = np.linalg.svd(x, compute_uv=False)
-    return s, float(dead_zone_sign(np.linalg.det(x), s))
-
-
-def det_sign(x) -> float:
-    """Sign of det(x) for a 3x3 matrix, with the dead zone of dead_zone_sign."""
-    return _signed_svals(x, "det_sign")[1]
+    return s, dead_zone_sign(np.linalg.det(x), s)
 
 
 def norm_plus(x) -> float:
     """s1 + s2 + s3 * sgn(det x) for a 3x3 matrix."""
-    s, sign = _signed_svals(x, "norm_plus")
+    s, sign = signed_svals(x)
     return float(s[0] + s[1] + s[2] * sign)
 
 
 def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
-    s, sign = _signed_svals(x, "norm_minus")
+    s, sign = signed_svals(x)
     return float(s[0] + s[1] - s[2] * sign)
 
 

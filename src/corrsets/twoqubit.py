@@ -6,7 +6,9 @@ ordered |00>, |01>, |10>, |11>. A Hermitian 4x4 operator is written as
     rho = (weight * I4 + sum_i ra_i s_i x I + sum_j rb_j I x s_j
            + sum_ij t_ij s_i x s_j) / 4
 
-and PauliForm holds the tuple (weight, ra, rb, t).
+and PauliForm holds the tuple (weight, ra, rb, t). One table of the sixteen
+products s_i x s_j (s_0 = I) serves the expansion, the assembly and the
+Theta map.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ PAULI.setflags(write=False)
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
+
+# _PRODUCTS[i, j] = s_i x s_j with s_0 = I2.
+_PRODUCTS = np.array([[np.kron(x, y) for y in (I2, *PAULI)] for x in (I2, *PAULI)])
+_PRODUCTS.setflags(write=False)
 
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-9
@@ -64,26 +70,19 @@ def _check_hermitian(x, name="operator"):
 def pauli_expand(rho) -> PauliForm:
     """Project a Hermitian 4x4 operator onto the two-qubit Pauli basis."""
     rho = _check_hermitian(rho, "rho")
-    weight = float(np.trace(rho).real)
-    ra = np.empty(3)
-    rb = np.empty(3)
-    t = np.empty((3, 3))
-    for i in range(3):
-        ra[i] = np.trace(rho @ np.kron(PAULI[i], I2)).real
-        rb[i] = np.trace(rho @ np.kron(I2, PAULI[i])).real
-        for j in range(3):
-            t[i, j] = np.trace(rho @ np.kron(PAULI[i], PAULI[j])).real
-    return PauliForm(weight, ra, rb, t)
+    coeffs = np.trace(rho @ _PRODUCTS, axis1=-2, axis2=-1).real
+    return PauliForm(float(coeffs[0, 0]), coeffs[1:, 0].copy(), coeffs[0, 1:].copy(),
+                     coeffs[1:, 1:].copy())
 
 
 def pauli_assemble(p: PauliForm) -> np.ndarray:
     """Inverse of pauli_expand."""
-    rho = p.weight * I4.copy()
+    rho = p.weight * _PRODUCTS[0, 0]
     for i in range(3):
-        rho += p.ra[i] * np.kron(PAULI[i], I2)
-        rho += p.rb[i] * np.kron(I2, PAULI[i])
+        rho += p.ra[i] * _PRODUCTS[i + 1, 0]
+        rho += p.rb[i] * _PRODUCTS[0, i + 1]
         for j in range(3):
-            rho += p.t[i, j] * np.kron(PAULI[i], PAULI[j])
+            rho += p.t[i, j] * _PRODUCTS[i + 1, j + 1]
     return rho / 4.0
 
 
@@ -124,7 +123,7 @@ def apply_theta(rho) -> np.ndarray:
     Flips the sign of every correlation matrix while preserving separability
     and block positivity.
     """
-    y = np.kron(I2, PAULI[1])
+    y = _PRODUCTS[0, 2]
     return y @ partial_transpose(rho) @ y
 
 

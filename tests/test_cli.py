@@ -316,6 +316,35 @@ def test_pauli_form_state_with_wrong_shape(capsys, tmp_path):
             assert err.startswith("error: Pauli-form state needs")
 
 
+_NONFINITE_FILES = {
+    "nan-row-in-A": {"A": [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "infinity-in-C": {"C": [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "nan-in-Z": {"Z": [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "pauli-state": {"state": {"ra": [0, 0, 0], "rb": [0, 0, 0],
+                              "t": [[-np.inf, 0, 0], [0, -1, 0], [0, 0, -1]]}},
+    "dense-state": {"state": np.full((4, 4, 2), np.nan).tolist()},
+    "overflowing-literal": '"C": [[1e999, 0, 0], [0, 1, 0], [0, 0, 1]]',
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["gauge", "sweep", "ratios"])
+@pytest.mark.parametrize("name", sorted(_NONFINITE_FILES))
+def test_nonfinite_scenario_entries_exit_2(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    extra = _NONFINITE_FILES[name]
+    base = {"A": np.eye(3).tolist(), "B": np.eye(3).tolist()}
+    if isinstance(extra, str):
+        path.write_text(json.dumps(base)[:-1] + ", " + extra + "}")
+    else:
+        path.write_text(json.dumps(dict(base, **extra)))
+    argv = [command, "--file", str(path)] + ([] if command == "ratios" else ["--model", "qm"])
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_witness_of_vanishing_target_exits_2(capsys):
     rc, out, err = run(capsys, "witness", "--scenario", "pauli3", "--state", "werner:1")
     assert rc == 2

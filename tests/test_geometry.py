@@ -30,6 +30,11 @@ def test_settings_validation():
     assert flat.m == 2 and flat.r == 2
 
 
+def test_settings_reject_nan_rows():
+    with pytest.raises(ValueError):
+        MeasurementSettings(np.diag([np.nan, 1.0, 1.0]), np.eye(3))
+
+
 def test_settings_are_immutable():
     rows = np.eye(3)
     s = MeasurementSettings(rows, rows)

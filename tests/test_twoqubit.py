@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
-from corrsets.twoqubit import (PAULI, PauliForm, apply_theta, bell_operator,
+from corrsets.twoqubit import (I2, PAULI, PauliForm, apply_theta, bell_operator,
                                block_positivity_minimum, classify_state,
                                eigenvalues_hermitian, hull_state, max_entangled,
                                partial_transpose, pauli_assemble, pauli_expand,
@@ -32,6 +32,38 @@ def test_pauli_expand_assemble_round_trip():
         p = pauli_expand(rho)
         assert np.isclose(p.weight, 1.0)
         assert np.linalg.norm(pauli_assemble(p) - rho) <= 1e-12
+
+
+def _identical(x, y) -> bool:
+    """Equal entry by entry, signs of zeros included; complex part by part."""
+    x, y = (np.ascontiguousarray(v).view(float) for v in (x, y))
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_product_table_matches_kron_loops():
+    """Expansion, assembly and Theta agree bit for bit with per-call kron loops."""
+    states = [family(k / 20) for family in (werner_state, tau_state) for k in range(21)]
+    states += [rho_max()] + [random_quantum_state(seed) for seed in range(20)]
+    y = np.kron(I2, PAULI[1])
+    for rho in states:
+        ra, rb, t = np.empty(3), np.empty(3), np.empty((3, 3))
+        for i in range(3):
+            ra[i] = np.trace(rho @ np.kron(PAULI[i], I2)).real
+            rb[i] = np.trace(rho @ np.kron(I2, PAULI[i])).real
+            for j in range(3):
+                t[i, j] = np.trace(rho @ np.kron(PAULI[i], PAULI[j])).real
+        p = pauli_expand(rho)
+        assert _identical(p.weight, np.trace(rho).real)
+        assert _identical(p.ra, ra) and _identical(p.rb, rb) and _identical(p.t, t)
+
+        expected = p.weight * np.eye(4, dtype=complex)
+        for i in range(3):
+            expected += p.ra[i] * np.kron(PAULI[i], I2)
+            expected += p.rb[i] * np.kron(I2, PAULI[i])
+            for j in range(3):
+                expected += p.t[i, j] * np.kron(PAULI[i], PAULI[j])
+        assert _identical(pauli_assemble(p), expected / 4.0)
+        assert _identical(apply_theta(rho), y @ partial_transpose(rho) @ y)
 
 
 def test_pauli_expand_phi_plus():

@@ -12,7 +12,9 @@ items, and the rendered quick verification report followed by one line per
 check with `float.hex` of its worst deviation and its replay detail (the
 render rounds the first and hides the second for passing checks). It then
 prints the exit code, stdout and stderr of `verify --format json|csv` at
-seed 0 and of a fixed list of input errors. The inputs come from
+seed 0 and of a fixed list of input errors, and last `float.hex` of the
+Pauli expansion, its reassembly and the Theta map on a fixed list of
+states (the reports show these only to 12 digits). The inputs come from
 bench/workloads.py, which is imported and not modified. Scenario files are
 written to one fixed directory under the system temporary directory, since
 their paths appear in the reports. The script takes no options.
@@ -30,7 +32,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from corrsets import cli, geometry, selfcheck  # noqa: E402
+import numpy as np  # noqa: E402
+
+from corrsets import cli, geometry, selfcheck, smallmat, twoqubit  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -109,6 +113,32 @@ def cli_lines():
         yield err.getvalue().rstrip("\n")
 
 
+def _pauli_states():
+    for k in range(21):
+        yield f"werner {k}/20", twoqubit.werner_state(k / 20)
+        yield f"tau {k}/20", twoqubit.tau_state(k / 20)
+    yield "rho_max", twoqubit.rho_max()
+    cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    for name, q in (("-I", -np.eye(3)), ("cycle", cycle),
+                    ("rotation", smallmat.random_rotation(7, "O3"))):
+        yield f"hull {name}", twoqubit.hull_state(q)
+    for seed in range(50):
+        yield f"random {seed}", twoqubit.random_quantum_state(seed)
+
+
+def _hex_complex(mat) -> str:
+    return " ".join(f"{_hex(v.real)},{_hex(v.imag)}" for v in np.ravel(mat))
+
+
+def pauli_lines():
+    for name, rho in _pauli_states():
+        p = twoqubit.pauli_expand(rho)
+        form = [p.weight, *p.ra, *p.rb, *p.t.ravel()]
+        yield f"== pauli {name} expand: {' '.join(_hex(v) for v in form)}"
+        yield f"-- assemble: {_hex_complex(twoqubit.pauli_assemble(p))}"
+        yield f"-- theta: {_hex_complex(twoqubit.apply_theta(rho))}"
+
+
 def main() -> int:
     if len(sys.argv) > 1:
         print("dump_outputs.py takes no options", file=sys.stderr)
@@ -118,8 +148,9 @@ def main() -> int:
         for produce in (reports_lines, gauge_stream_lines, verify_lines):
             for line in produce(seed):
                 print(line)
-    for line in cli_lines():
-        print(line)
+    for produce in (cli_lines, pauli_lines):
+        for line in produce():
+            print(line)
     return 0
 
 
