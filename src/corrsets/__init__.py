@@ -4,8 +4,9 @@ The three nested bodies (separable, quantum, maximal) are handled through
 their support and gauge functions, all reduced to small singular value
 problems. Submodules: smallmat (matrix kernels), twoqubit (states and
 operators), geometry (the bodies themselves), detect (witnesses and noise
-thresholds), oracles (independent brute-force cross-checks), selfcheck
-(the verification battery), cli (command line).
+thresholds), oracles (independent cross-checks with the kernels and
+samplers only they use), selfcheck (the verification battery), cli
+(command line).
 """
 
 from ._version import __version__

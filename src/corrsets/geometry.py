@@ -17,14 +17,17 @@ This module computes, for each of the three models:
 * closed forms specific to m = 2 written in the Gram angles alpha, beta;
 * the coefficient matrix attaining the gauge value in the duality
   sup_Z Tr[Z.T C] / support(Z);
-* extreme points, membership tests, and a constructor that realizes any
-  admissible singular value pattern of A.T Z B.
+* extreme points and membership tests.
+
+The Gram-picture support, a second route to the same values, lives with the
+other verification routes in oracles.
 
 Everything is deterministic and allocation-light; matrices stay small.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,8 +36,6 @@ import numpy as np
 from . import twoqubit
 from .smallmat import (
     RANK_TOL,
-    dead_zone_sign,
-    det3_intrinsic,
     norm_minus,
     norm_plus,
     op_norm,
@@ -259,6 +260,8 @@ def _gauge_core(s: MeasurementSettings, c):
     if c.shape != (s.m, s.m):
         raise ValueError(f"correlation matrix must be {s.m}x{s.m}, got {c.shape}")
     norm_c = float(np.linalg.norm(c))
+    if not math.isfinite(norm_c) and not np.all(np.isfinite(c)):
+        raise ValueError("input has non-finite entries")
     if norm_c == 0.0:
         return True, np.zeros((3, 3)), 0.0
     a_pinv, b_pinv = s.pinv_a, s.pinv_b
@@ -383,64 +386,3 @@ def extreme_point(model: str, s: MeasurementSettings, param) -> np.ndarray:
     if model == QM and np.linalg.det(q) > 0:
         raise ValueError("quantum extreme points need determinant -1")
     return s.a @ q @ s.b.T
-
-
-def construct_target_Z(s: MeasurementSettings, target, det_sign_req: int = 0) -> np.ndarray:
-    """Coefficient matrix whose frame A.T Z B has the given singular values.
-
-    ``target`` lists the desired nonzero singular values, descending, at
-    most r = min rank of the settings; the remaining singular values come
-    out zero. ``det_sign_req`` of +1 or -1 additionally fixes the sign of
-    det(A.T Z B), which needs three nonzero target values.
-    """
-    target = np.asarray(target, dtype=float)
-    if target.ndim != 1 or target.size > s.r:
-        raise ValueError(f"target must list at most r = {s.r} values")
-    if np.any(target < 0) or np.any(np.diff(target) > 0):
-        raise ValueError("target values must be nonnegative and descending")
-    d = np.zeros(3)
-    d[: target.size] = target
-
-    va, vb = s.row_basis_a, s.row_basis_b
-
-    if det_sign_req not in (-1, 0, 1):
-        raise ValueError("det_sign_req must be -1, 0 or +1")
-    if det_sign_req != 0:
-        if target.size < 3 or target[2] <= 0.0:
-            raise ValueError("a determinant sign needs three nonzero target values")
-        current = np.linalg.det(va) * np.linalg.det(vb) * np.prod(d)
-        if current * det_sign_req < 0:
-            d[2] = -d[2]
-
-    frame = va @ np.diag(d) @ vb.T
-    return s.pinv_a.T @ frame @ s.pinv_b
-
-
-def _psd_sqrt(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(g)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
-def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
-    """Support function evaluated in the Gram picture.
-
-    Works on G_A^(1/2) Z G_B^(1/2), whose nonzero singular values match
-    those of A.T Z B, and recovers the orientation sign for the quantum
-    model from the basis-free determinant expansion. Agreement with
-    ``support`` witnesses that the bodies depend on the settings only
-    through their Gram data.
-    """
-    _check_model(model)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (s.m, s.m):
-        raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
-    mm = _psd_sqrt(s.gram_a) @ z @ _psd_sqrt(s.gram_b)
-    sv = svdvals(mm)
-    if model == SEP:
-        return float(sv[0]) if sv.size else 0.0
-    if model == MAX:
-        return float(sv.sum())
-    s3 = np.zeros(3)
-    s3[: min(3, sv.size)] = sv[:3]
-    sign = float(dead_zone_sign(det3_intrinsic(s.a, s.b, z), s3))
-    return float(s3[0] + s3[1] - s3[2] * sign)

@@ -1,11 +1,16 @@
-"""Brute-force cross-checks for the closed-form support and gauge values.
+"""Independent routes and verification-only kernels.
 
-Every formula in geometry has a second route here that shares no code with
-it: product-state grids for the separable support, eigensolves of the
-measurement operator for the quantum and maximal supports, sampled dual
-ratios for the gauges, and a Frank-Wolfe projection for hull membership.
-The optimization-based routes are monotone lower bounds, so they can only
-fail in one direction.
+This is the one module that holds what only the verification battery and
+the tests run. Every formula in geometry has a second route here that
+shares no code with it: product-state grids for the separable support,
+eigensolves of the measurement operator for the quantum and maximal
+supports, the Gram-picture support with its basis-free determinant
+expansion, sampled dual ratios for the gauges, and a Frank-Wolfe projection
+for hull membership. The optimization-based routes are monotone lower
+bounds, so they can only fail in one direction. The kernels the routes and
+checks need (the rotation-factored SVD, the Procrustes maximizer over
+rotation components, the intrinsic determinant) and the random settings and
+state samplers live here as well.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import MAX, QM, SEP, MeasurementSettings
-from .smallmat import max_trace_over_rotations, random_rotation, signed_svals
+from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation, signed_svals, svdvals
+from .twoqubit import qubit_state
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,96 @@ DEFAULT_CONFIG = OracleConfig()
 
 _FW_MAX_ITERS = 500
 _REFINE_SWEEPS = 150
+_MAX_PRODUCT_TERMS = 16
+
+# Levi-Civita symbol on three indices.
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+                       (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]:
+    LEVI_CIVITA[_i, _j, _k] = _s
+LEVI_CIVITA.setflags(write=False)
+
+
+class SpecialSvdResult(NamedTuple):
+    """Rotation-factored SVD of a 3x3 matrix.
+
+    ``u`` and ``v`` are proper rotations (determinant +1) and
+    ``x = u @ diag(s) @ v.T`` where ``s = (s1, s2, s3 * sgn(det x))``
+    carries any orientation sign on its smallest entry.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+
+
+def special_svd(x) -> SpecialSvdResult:
+    """SVD of a 3x3 matrix constrained to rotation factors.
+
+    Starts from the ordinary SVD and absorbs a reflection, if present, into
+    the last column of each factor so that det(u) = det(v) = +1. The
+    compensating sign lands on the third singular value, which therefore
+    has the sign of det(x).
+    """
+    x = _as_finite_matrix(x)
+    if x.shape != (3, 3):
+        raise ValueError(f"special_svd needs a 3x3 matrix, got {x.shape}")
+    u, s, vt = np.linalg.svd(x)
+    u = u.copy()
+    v = vt.T.copy()
+    su = 1.0 if np.linalg.det(u) > 0 else -1.0
+    sv = 1.0 if np.linalg.det(v) > 0 else -1.0
+    u[:, 2] *= su
+    v[:, 2] *= sv
+    signed = np.array([s[0], s[1], s[2] * su * sv])
+    return SpecialSvdResult(u, signed, v)
+
+
+def max_trace_over_rotations(x, component: str = "SO3"):
+    """Maximize Tr[x.T @ q] over a component of the 3x3 orthogonal group.
+
+    component is one of "SO3" (rotations), "SO3_minus" (reflections,
+    determinant -1) or "O3" (both). Returns ``(value, argmax)`` where the
+    argmax is an exact member of the requested component and the value is
+    norm_plus(x), norm_minus(x) or trace_norm(x) respectively.
+    """
+    x = _as_finite_matrix(x)
+    if x.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
+    u, s, vt = np.linalg.svd(x)
+    d = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
+    if component == "O3":
+        q = u @ vt
+        value = float(s.sum())
+    elif component == "SO3":
+        q = u @ np.diag([1.0, 1.0, d]) @ vt
+        value = float(s[0] + s[1] + d * s[2])
+    elif component == "SO3_minus":
+        q = u @ np.diag([1.0, 1.0, -d]) @ vt
+        value = float(s[0] + s[1] - d * s[2])
+    else:
+        raise ValueError(f"unknown component {component!r}")
+    return value, q
+
+
+def det3_intrinsic(a, b, z) -> float:
+    """det(a.T @ z @ b) from row triples, without forming the product.
+
+    For measurement matrices a, b (m x 3) and weights z (m x m) this
+    expands the determinant through the antisymmetric tensors
+    t_{ijk} = det[row_i, row_j, row_k], so the value depends only on
+    quantities expressible in the rows themselves.
+    """
+    a = _as_finite_matrix(a, "a")
+    b = _as_finite_matrix(b, "b")
+    z = _as_finite_matrix(z, "z")
+    m = a.shape[0]
+    if a.shape[1] != 3 or b.shape[1] != 3 or b.shape[0] != m or z.shape != (m, m):
+        raise ValueError("shapes must be (m,3), (m,3) and (m,m)")
+    ta = np.einsum("pqr,ip,jq,kr->ijk", LEVI_CIVITA, a, a, a)
+    tb = np.einsum("pqr,lp,mq,nr->lmn", LEVI_CIVITA, b, b, b)
+    total = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=True)
+    return float(total) / 6.0
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -92,6 +188,36 @@ def support_max_oracle(s: MeasurementSettings, z) -> float:
     plain = np.linalg.eigvalsh(op)[-1]
     flipped = np.linalg.eigvalsh(twoqubit.partial_transpose(op))[-1]
     return float(max(plain, flipped))
+
+
+def _psd_sqrt(g: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(g)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
+    """Support function evaluated in the Gram picture.
+
+    Works on G_A^(1/2) Z G_B^(1/2), whose nonzero singular values match
+    those of A.T Z B, and recovers the orientation sign for the quantum
+    model from the basis-free determinant expansion. Agreement with
+    ``support`` witnesses that the bodies depend on the settings only
+    through their Gram data.
+    """
+    geometry._check_model(model)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (s.m, s.m):
+        raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
+    mm = _psd_sqrt(s.gram_a) @ z @ _psd_sqrt(s.gram_b)
+    sv = svdvals(mm)
+    if model == SEP:
+        return float(sv[0]) if sv.size else 0.0
+    if model == MAX:
+        return float(sv.sum())
+    s3 = np.zeros(3)
+    s3[: min(3, sv.size)] = sv[:3]
+    sign = float(dead_zone_sign(det3_intrinsic(s.a, s.b, z), s3))
+    return float(s3[0] + s3[1] - s3[2] * sign)
 
 
 def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.ndarray:
@@ -235,6 +361,31 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
                 return rows
 
     return MeasurementSettings(one_party(), one_party())
+
+
+def random_product_state(rng) -> np.ndarray:
+    """Pure product state with Haar-uniform Bloch directions on both sides."""
+    rng = np.random.default_rng(rng)
+    u, v = rng.standard_normal((2, 3))
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    return np.kron(qubit_state(u), qubit_state(v))
+
+
+def random_separable_state(rng) -> np.ndarray:
+    """Dirichlet-weighted mixture of up to _MAX_PRODUCT_TERMS pure product states."""
+    rng = np.random.default_rng(rng)
+    k = int(rng.integers(1, _MAX_PRODUCT_TERMS + 1))
+    weights = rng.dirichlet(np.ones(k))
+    return sum(w * random_product_state(rng) for w in weights)
+
+
+def random_quantum_state(rng) -> np.ndarray:
+    """Mixed two-qubit state from a normalized Wishart matrix."""
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class ScanResult(NamedTuple):

@@ -18,10 +18,8 @@ import numpy as np
 from . import detect, geometry, oracles, twoqubit
 from ._version import __version__
 from .geometry import MAX, QM, SEP, MeasurementSettings
-from .oracles import OracleConfig
-from .smallmat import (det3_intrinsic, kron, max_trace_over_rotations, norm_minus,
-                       norm_plus, op_norm, pinv, random_rotation, special_svd,
-                       trace_norm, vec)
+from .oracles import OracleConfig, det3_intrinsic, max_trace_over_rotations, special_svd
+from .smallmat import norm_minus, norm_plus, op_norm, pinv, random_rotation, trace_norm
 
 LEVELS = ("quick", "full")
 
@@ -193,14 +191,6 @@ def _check_dual_oracle(rng, sizes):
     return [worst.result("gauge-vs-dual-oracle", count, 1e-8)]
 
 
-def _gram_2x2(theta):
-    return np.array([[1.0, np.cos(theta)], [np.cos(theta), 1.0]])
-
-
-def _skew_2x2(theta):
-    return np.array([[np.exp(-1j * theta), 1.0], [1.0, np.exp(1j * theta)]])
-
-
 def _ell_2x2(theta):
     return np.array([[1.0, -np.exp(1j * theta)],
                      [-np.exp(-1j * theta), 1.0]]) / np.sin(theta) ** 2
@@ -261,10 +251,10 @@ def _check_m2_forms(rng, sizes):
 
         # vec-form route for the support: quadratic forms in vec(Z) with the
         # Kronecker matrices. Entries are O(1), fine at any angle.
-        ga, gb = _gram_2x2(alpha), _gram_2x2(beta)
+        ga, gb = geometry._gram_2x2(np.cos(alpha)), geometry._gram_2x2(np.cos(beta))
         zv = z.T.ravel()
         kq = float(zv @ np.kron(gb, ga) @ zv)
-        jq = complex(zv @ np.kron(_skew_2x2(beta), ga) @ zv)
+        jq = complex(zv @ np.kron(geometry._skew_2x2(np.cos(beta), np.sin(beta)), ga) @ zv)
         checks.append((geometry.support(SEP, s, z),
                        np.sqrt((kq + abs(jq)) / 2.0), "support-sep-vec"))
 
@@ -330,7 +320,7 @@ def _check_kernel_identities(rng, sizes):
         x = rng.standard_normal((3, 3))
         b = rng.standard_normal((mb, 3))
         vec_dev = max(vec_dev, float(np.abs(
-            vec(a @ x @ b.T) - kron(b, a) @ vec(x)).max()))
+            (a @ x @ b.T).T.ravel() - np.kron(b, a) @ x.T.ravel()).max()))
 
     det_dev = 0.0
     for _ in range(n):
@@ -400,7 +390,7 @@ def _check_gram_equivalence(rng, sizes):
         z = rng.standard_normal((m, m))
         for model in geometry.MODELS:
             direct = geometry.support(model, s, z)
-            gram = geometry.gram_equivalent_support(s, z, model)
+            gram = oracles.gram_equivalent_support(s, z, model)
             worst.offer(abs(direct - gram) / max(1.0, abs(direct)), model=model,
                         a=s.a, b=s.b, z=z, direct=direct, gram=gram)
     return [worst.result("gram-equivalence", n, _TOL_EXACT)]
@@ -431,8 +421,8 @@ def _check_witness_mc(rng, sizes):
     n_z = sizes["mc_z"]
     s = detect.pauli_settings()
 
-    sep_states = np.stack([twoqubit.random_separable_state(rng) for _ in range(n_states)])
-    qm_states = np.stack([twoqubit.random_quantum_state(rng) for _ in range(n_states)])
+    sep_states = np.stack([oracles.random_separable_state(rng) for _ in range(n_states)])
+    qm_states = np.stack([oracles.random_quantum_state(rng) for _ in range(n_states)])
 
     worst = _Worst()
     for _ in range(n_z):
@@ -623,7 +613,7 @@ def _check_pullback(rng, sizes):
     z = rng.standard_normal((3, 3))
     phi = geometry.support(QM, s, z)
     op = twoqubit.bell_operator(s, z)
-    states = np.stack([twoqubit.random_quantum_state(rng) for _ in range(n)])
+    states = np.stack([oracles.random_quantum_state(rng) for _ in range(n)])
     values = np.einsum("kij,ji->k", states, op).real
     # the top eigenvector's projector is itself a quantum state
     w, v = np.linalg.eigh(op)

@@ -1,15 +1,14 @@
 """Dense linear algebra kernel for small fixed-size matrices.
 
 Everything in this module operates on plain float ndarrays of modest size
-(2x2 up to roughly 6x6). It collects the handful of primitives the rest of
-the package is built on: singular values, a rotation-factored SVD variant,
-Moore-Penrose pseudoinverse, the operator and trace norms, the signed norms
-s1 + s2 +/- s3 * sgn(det), orthogonal Procrustes maximization over
-rotation components, Kronecker/vectorization helpers, a basis-free 3x3
-determinant expansion, and Haar-distributed random rotations. The package
-has one signed-singular-value routine, signed_svals, which takes a 3x3
-matrix or a (k, 3, 3) stack and applies the one determinant sign rule,
-dead_zone_sign; and one Haar sampler, random_rotation.
+(2x2 up to roughly 6x6). It collects the handful of primitives the library
+and the command line run on: singular values, Moore-Penrose pseudoinverse,
+the operator and trace norms, the signed norms s1 + s2 +/- s3 * sgn(det),
+and Haar-distributed random rotations. The package has one
+signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
+(k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign;
+and one Haar sampler, random_rotation. Kernels that only the verification
+battery uses live in oracles.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -17,34 +16,12 @@ sampling takes an explicit seed or Generator.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
 
 #: Default relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-10
-
-# Levi-Civita symbol on three indices.
-LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-                       (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]:
-    LEVI_CIVITA[_i, _j, _k] = _s
-LEVI_CIVITA.setflags(write=False)
-
-
-class SpecialSvdResult(NamedTuple):
-    """Rotation-factored SVD of a 3x3 matrix.
-
-    ``u`` and ``v`` are proper rotations (determinant +1) and
-    ``x = u @ diag(s) @ v.T`` where ``s = (s1, s2, s3 * sgn(det x))``
-    carries any orientation sign on its smallest entry.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
 
 
 def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
@@ -59,28 +36,6 @@ def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
 def svdvals(x) -> np.ndarray:
     """Singular values only, descending."""
     return np.linalg.svd(_as_finite_matrix(x), compute_uv=False)
-
-
-def special_svd(x) -> SpecialSvdResult:
-    """SVD of a 3x3 matrix constrained to rotation factors.
-
-    Starts from the ordinary SVD and absorbs a reflection, if present, into
-    the last column of each factor so that det(u) = det(v) = +1. The
-    compensating sign lands on the third singular value, which therefore
-    has the sign of det(x).
-    """
-    x = _as_finite_matrix(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"special_svd needs a 3x3 matrix, got {x.shape}")
-    u, s, vt = np.linalg.svd(x)
-    u = u.copy()
-    v = vt.T.copy()
-    su = 1.0 if np.linalg.det(u) > 0 else -1.0
-    sv = 1.0 if np.linalg.det(v) > 0 else -1.0
-    u[:, 2] *= su
-    v[:, 2] *= sv
-    signed = np.array([s[0], s[1], s[2] * su * sv])
-    return SpecialSvdResult(u, signed, v)
 
 
 def pinv(x) -> np.ndarray:
@@ -144,66 +99,6 @@ def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
     s, sign = signed_svals(x)
     return float(s[0] + s[1] - s[2] * sign)
-
-
-def max_trace_over_rotations(x, component: str = "SO3"):
-    """Maximize Tr[x.T @ q] over a component of the 3x3 orthogonal group.
-
-    component is one of "SO3" (rotations), "SO3_minus" (reflections,
-    determinant -1) or "O3" (both). Returns ``(value, argmax)`` where the
-    argmax is an exact member of the requested component and the value is
-    norm_plus(x), norm_minus(x) or trace_norm(x) respectively.
-    """
-    x = _as_finite_matrix(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
-    u, s, vt = np.linalg.svd(x)
-    d = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
-    if component == "O3":
-        q = u @ vt
-        value = float(s.sum())
-    elif component == "SO3":
-        q = u @ np.diag([1.0, 1.0, d]) @ vt
-        value = float(s[0] + s[1] + d * s[2])
-    elif component == "SO3_minus":
-        q = u @ np.diag([1.0, 1.0, -d]) @ vt
-        value = float(s[0] + s[1] - d * s[2])
-    else:
-        raise ValueError(f"unknown component {component!r}")
-    return value, q
-
-
-def kron(x, y) -> np.ndarray:
-    """Kronecker product (column-stacking convention downstream)."""
-    return np.kron(np.asarray(x), np.asarray(y))
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of a matrix into one vector."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"vec expects a matrix, got shape {m.shape}")
-    return m.T.ravel()
-
-
-def det3_intrinsic(a, b, z) -> float:
-    """det(a.T @ z @ b) from row triples, without forming the product.
-
-    For measurement matrices a, b (m x 3) and weights z (m x m) this
-    expands the determinant through the antisymmetric tensors
-    t_{ijk} = det[row_i, row_j, row_k], so the value depends only on
-    quantities expressible in the rows themselves.
-    """
-    a = _as_finite_matrix(a, "a")
-    b = _as_finite_matrix(b, "b")
-    z = _as_finite_matrix(z, "z")
-    m = a.shape[0]
-    if a.shape[1] != 3 or b.shape[1] != 3 or b.shape[0] != m or z.shape != (m, m):
-        raise ValueError("shapes must be (m,3), (m,3) and (m,m)")
-    ta = np.einsum("pqr,ip,jq,kr->ijk", LEVI_CIVITA, a, a, a)
-    tb = np.einsum("pqr,lp,mq,nr->lmn", LEVI_CIVITA, b, b, b)
-    total = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=True)
-    return float(total) / 6.0
 
 
 def random_rotation(rng, component: str = "SO3") -> np.ndarray:

@@ -8,7 +8,8 @@ ordered |00>, |01>, |10>, |11>. A Hermitian 4x4 operator is written as
 
 and PauliForm holds the tuple (weight, ra, rb, t). One table of the sixteen
 products s_i x s_j (s_0 = I) serves the expansion, the assembly and the
-Theta map.
+Theta map. The random state samplers that the verification battery draws
+from live in oracles.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ def bell_operator(settings, z) -> np.ndarray:
     b_ops = np.einsum("jk,kuv->juv", b, PAULI)
     s = np.einsum("ij,iuv,jxy->uxvy", z, a_ops, b_ops).reshape(4, 4)
     return s
-
-
-def eigenvalues_hermitian(rho) -> np.ndarray:
-    """Real spectrum of a Hermitian 4x4 operator, ascending."""
-    return np.linalg.eigvalsh(_check_hermitian(rho, "rho"))
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -261,28 +257,3 @@ def qubit_state(bloch) -> np.ndarray:
     if bloch.shape != (3,) or np.linalg.norm(bloch) > 1.0 + 1e-12:
         raise ValueError("need a Bloch vector of norm at most 1")
     return (I2 + np.einsum("i,iuv->uv", bloch, PAULI)) / 2.0
-
-
-def random_product_state(rng) -> np.ndarray:
-    """Pure product state with Haar-uniform Bloch directions on both sides."""
-    rng = np.random.default_rng(rng)
-    u, v = rng.standard_normal((2, 3))
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    return np.kron(qubit_state(u), qubit_state(v))
-
-
-def random_separable_state(rng, max_terms: int = 16) -> np.ndarray:
-    """Dirichlet-weighted mixture of up to max_terms pure product states."""
-    rng = np.random.default_rng(rng)
-    k = int(rng.integers(1, max_terms + 1))
-    weights = rng.dirichlet(np.ones(k))
-    return sum(w * random_product_state(rng) for w in weights)
-
-
-def random_quantum_state(rng) -> np.ndarray:
-    """Mixed two-qubit state from a normalized Wishart matrix."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

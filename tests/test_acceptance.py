@@ -13,10 +13,9 @@ import pytest
 
 from corrsets import detect, geometry, oracles, selfcheck, twoqubit
 from corrsets.geometry import MAX, QM, SEP, MeasurementSettings
-from corrsets.oracles import OracleConfig
-from corrsets.smallmat import (det3_intrinsic, kron, max_trace_over_rotations,
-                               norm_minus, norm_plus, random_rotation,
-                               special_svd, vec)
+from corrsets.oracles import (OracleConfig, det3_intrinsic,
+                              max_trace_over_rotations, special_svd)
+from corrsets.smallmat import norm_minus, norm_plus, random_rotation
 
 ROOT2 = np.sqrt(2.0)
 
@@ -189,7 +188,7 @@ def test_criterion_08_identity_suite():
         a = rng.standard_normal((ma, 3))
         x = rng.standard_normal((3, 3))
         b = rng.standard_normal((mb, 3))
-        dev = float(np.abs(vec(a @ x @ b.T) - kron(b, a) @ vec(x)).max())
+        dev = float(np.abs((a @ x @ b.T).T.ravel() - np.kron(b, a) @ x.T.ravel()).max())
         worst = max(worst, dev)
     assert worst <= 1e-9
 
@@ -212,7 +211,7 @@ def test_criterion_08_identity_suite():
         z = rng.standard_normal((m, m))
         for model in geometry.MODELS:
             direct = geometry.support(model, s, z)
-            gram = geometry.gram_equivalent_support(s, z, model)
+            gram = oracles.gram_equivalent_support(s, z, model)
             worst = max(worst, abs(direct - gram) / max(1.0, abs(direct)))
     assert worst <= 1e-9
 
@@ -294,9 +293,9 @@ def test_criterion_10_witness_soundness():
     """Witnesses never fire on their protected class; maximizers hit -2."""
     rng = np.random.default_rng(79)
     s = detect.pauli_settings()
-    sep_states = np.stack([twoqubit.random_separable_state(rng)
+    sep_states = np.stack([oracles.random_separable_state(rng)
                            for _ in range(10_000)])
-    qm_states = np.stack([twoqubit.random_quantum_state(rng)
+    qm_states = np.stack([oracles.random_quantum_state(rng)
                           for _ in range(10_000)])
 
     worst = 0.0

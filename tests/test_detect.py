@@ -11,8 +11,8 @@ from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, bqs_witness,
 from corrsets.detect import witness_report
 from corrsets.geometry import (MAX, QM, SEP, MeasurementSettings,
                                correlation_matrix, gauge, support)
-from corrsets.twoqubit import (eigenvalues_hermitian, random_separable_state,
-                               rho_max, tau_state, werner_state)
+from corrsets.oracles import random_separable_state
+from corrsets.twoqubit import rho_max, tau_state, werner_state
 
 RNG = np.random.default_rng(19)
 
@@ -106,7 +106,7 @@ def test_bqs_witness_catches_rho_max():
     assert np.isclose(float(np.trace(w @ rho_max()).real), -2.0)
     # nonnegative on every quantum state: the operator plus its
     # detection threshold must dominate the spectrum bottom
-    evs = eigenvalues_hermitian(w)
+    evs = np.linalg.eigvalsh(w)
     assert evs[0] >= -2.0 - 1e-12
 
 
@@ -205,6 +205,6 @@ def test_tau_family_matches_gauge_threshold():
     # the gauge threshold 2/3 is exactly where the tau family turns quantum
     s = pauli_settings()
     p_star = critical_noise(QM, s, correlation_matrix(rho_max(), s))
-    lo = eigenvalues_hermitian(tau_state(p_star - 1e-6))[0]
-    hi = eigenvalues_hermitian(tau_state(p_star + 1e-6))[0]
+    lo = np.linalg.eigvalsh(tau_state(p_star - 1e-6))[0]
+    hi = np.linalg.eigvalsh(tau_state(p_star + 1e-6))[0]
     assert lo < 0.0 <= hi + 1e-9

@@ -5,14 +5,14 @@ import pytest
 
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
 from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
-                               MeasurementSettings, construct_target_Z,
-                               correlation_matrix, extreme_point, gauge,
-                               gauge_m2_closed_form, gram_equivalent_support,
+                               MeasurementSettings, correlation_matrix,
+                               extreme_point, gauge, gauge_m2_closed_form,
                                membership, optimizer_z, planar_settings,
                                support, support_m2_closed_form)
+from corrsets.oracles import gram_equivalent_support
 from corrsets.twoqubit import rho_max, werner_state
 
-from helpers import draw_settings, feasible_c, random_unit
+from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
 
 RNG = np.random.default_rng(7)
 
@@ -142,6 +142,25 @@ def test_gauge_infinite_off_range():
     # anything actually produced by a state stays finite
     c = correlation_matrix(werner_state(0.2), s)
     assert gauge(QM, s, c).finite
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("fn", [gauge, optimizer_z])
+def test_nonfinite_c_raises_before_any_arithmetic(fn, model, entry):
+    c = np.eye(3)
+    c[1, 2] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(model, pauli_settings(), c)
+
+
+def test_finite_c_with_overflowing_norm_is_not_rejected():
+    s = pauli_settings()
+    with np.errstate(over="ignore"):
+        for model, value in ((SEP, 3e200), (MAX, 1e200)):
+            g = gauge(model, s, 1e200 * np.eye(3))
+            assert g.finite and g.value == pytest.approx(value)
 
 
 def test_gauge_value_contract():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from corrsets import smallmat
-from corrsets.smallmat import (det3_intrinsic, kron, max_trace_over_rotations,
-                               norm_minus, norm_plus, op_norm, pinv,
-                               random_rotation, signed_svals, special_svd,
-                               svdvals, trace_norm, vec)
+from corrsets.oracles import det3_intrinsic, max_trace_over_rotations, special_svd
+from corrsets.smallmat import (norm_minus, norm_plus, op_norm, pinv,
+                               random_rotation, signed_svals, svdvals,
+                               trace_norm)
 
 RNG = np.random.default_rng(101)
 
@@ -190,26 +190,6 @@ def test_rotation_hull_in_unit_ball():
         qs = np.stack([random_rotation(RNG, "SO3") for _ in range(6)])
         mix = np.tensordot(RNG.dirichlet(np.ones(6)), qs, axes=1)
         assert norm_minus(mix) <= 1.0 + 1e-9
-
-
-def test_vec_column_stacking():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(vec(m), [1.0, 3.0, 2.0, 4.0])
-
-
-def test_vectorization_identity():
-    for _ in range(200):
-        x = RNG.standard_normal((2, 2))
-        mm = RNG.standard_normal((2, 2))
-        y = RNG.standard_normal((2, 2))
-        lhs = vec(x @ mm @ y)
-        rhs = kron(y.T, x) @ vec(mm)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12
-
-
-def test_kron_dimension_mismatch():
-    with pytest.raises(ValueError):
-        vec(np.array([1.0, 2.0]))
 
 
 def test_det3_intrinsic_pinned():

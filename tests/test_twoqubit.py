@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
-from corrsets.twoqubit import (I2, PAULI, PauliForm, apply_theta, bell_operator,
+from corrsets.oracles import (random_product_state, random_quantum_state,
+                              random_separable_state)
+from corrsets.twoqubit import (I2, PAULI, apply_theta, bell_operator,
                                block_positivity_minimum, classify_state,
-                               eigenvalues_hermitian, hull_state, max_entangled,
-                               partial_transpose, pauli_assemble, pauli_expand,
-                               qubit_state, random_product_state,
-                               random_quantum_state, random_separable_state,
+                               hull_state, max_entangled, partial_transpose,
+                               pauli_assemble, pauli_expand, qubit_state,
                                rho_max, tau_state, werner_state)
 
 RNG = np.random.default_rng(33)
@@ -85,10 +85,10 @@ def test_bell_operator_correlation_block():
 
 def test_bell_operator_spectra():
     swap_like = bell_operator(pauli_settings(), np.eye(3))
-    assert np.allclose(eigenvalues_hermitian(swap_like), [-3.0, 1.0, 1.0, 1.0])
+    assert np.allclose(np.linalg.eigvalsh(swap_like), [-3.0, 1.0, 1.0, 1.0])
     chsh_op = bell_operator(chsh_settings(), Z_CHSH)
     root8 = 2.0 * np.sqrt(2.0)
-    assert np.allclose(eigenvalues_hermitian(chsh_op), [-root8, 0.0, 0.0, root8])
+    assert np.allclose(np.linalg.eigvalsh(chsh_op), [-root8, 0.0, 0.0, root8])
 
 
 def test_partial_transpose_involution():
@@ -100,18 +100,18 @@ def test_partial_transpose_involution():
 
 def test_partial_transpose_detects_entanglement():
     # Phi+ has negative partial transpose, any product state does not
-    assert eigenvalues_hermitian(partial_transpose(werner_state(0.0)))[0] < -0.49
+    assert np.linalg.eigvalsh(partial_transpose(werner_state(0.0)))[0] < -0.49
     for _ in range(20):
         rho = random_separable_state(RNG)
-        assert eigenvalues_hermitian(partial_transpose(rho))[0] >= -1e-10
+        assert np.linalg.eigvalsh(partial_transpose(rho))[0] >= -1e-10
 
 
 def test_werner_ppt_boundary():
     # min eigenvalue of the partial transpose is p/4 - (1-p)/2, zero at 2/3
     for p, sep in ((0.6, False), (0.64, False), (0.68, True), (0.75, True)):
-        low = eigenvalues_hermitian(partial_transpose(werner_state(p)))[0]
+        low = np.linalg.eigvalsh(partial_transpose(werner_state(p)))[0]
         assert (low >= -1e-12) == sep
-    boundary = eigenvalues_hermitian(partial_transpose(werner_state(2.0 / 3.0)))[0]
+    boundary = np.linalg.eigvalsh(partial_transpose(werner_state(2.0 / 3.0)))[0]
     assert abs(boundary) <= 1e-12
 
 
@@ -128,8 +128,8 @@ def test_apply_theta_preserves_separability():
     for _ in range(20):
         rho = random_separable_state(RNG)
         out = apply_theta(rho)
-        assert eigenvalues_hermitian(out)[0] >= -1e-9
-        assert eigenvalues_hermitian(partial_transpose(out))[0] >= -1e-9
+        assert np.linalg.eigvalsh(out)[0] >= -1e-9
+        assert np.linalg.eigvalsh(partial_transpose(out))[0] >= -1e-9
 
 
 def test_classify_werner_family():
@@ -153,7 +153,7 @@ def test_classify_tau_boundary():
     assert not classify_state(tau_state(0.6)).is_quantum
     assert classify_state(tau_state(0.7)).is_quantum
     # exactly on the boundary the smallest eigenvalue is zero
-    evs = eigenvalues_hermitian(tau_state(2.0 / 3.0))
+    evs = np.linalg.eigvalsh(tau_state(2.0 / 3.0))
     assert abs(evs[0]) <= 1e-12
 
 
@@ -189,14 +189,14 @@ def test_hull_state_extremes():
 def test_max_entangled_states():
     rho = max_entangled(np.diag([1.0, -1.0, 1.0]))
     assert np.linalg.norm(rho - werner_state(0.0)) <= 1e-12
-    evs = eigenvalues_hermitian(rho)
+    evs = np.linalg.eigvalsh(rho)
     assert np.allclose(evs, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         max_entangled(np.eye(3))
 
 
 def test_rho_max_spectrum():
-    assert np.allclose(eigenvalues_hermitian(rho_max()), [-0.5, 0.5, 0.5, 0.5])
+    assert np.allclose(np.linalg.eigvalsh(rho_max()), [-0.5, 0.5, 0.5, 0.5])
 
 
 def test_state_family_validation():

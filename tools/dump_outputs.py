@@ -17,7 +17,10 @@ Pauli expansion, its reassembly and the Theta map on a fixed list of
 states (the reports show these only to 12 digits). The inputs come from
 bench/workloads.py, which is imported and not modified. Scenario files are
 written to one fixed directory under the system temporary directory, since
-their paths appear in the reports. The script takes no options.
+their paths appear in the reports. Two runs must therefore not overlap in
+time: they would rewrite each other's scenario files, and the `reports`
+items of their dumps would differ. Run the two checkouts one after the
+other. The script takes no options.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 from corrsets import cli, geometry, selfcheck, smallmat, twoqubit  # noqa: E402
+from corrsets.oracles import random_quantum_state  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -123,7 +127,7 @@ def _pauli_states():
                     ("rotation", smallmat.random_rotation(7, "O3"))):
         yield f"hull {name}", twoqubit.hull_state(q)
     for seed in range(50):
-        yield f"random {seed}", twoqubit.random_quantum_state(seed)
+        yield f"random {seed}", random_quantum_state(seed)
 
 
 def _hex_complex(mat) -> str:
