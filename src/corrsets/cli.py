@@ -4,6 +4,8 @@ Subcommands wrap the library: support/gauge evaluations on a scenario,
 witness construction for a target state, the verification battery, and the
 CSV reports (critical-noise table, containment radii, noise sweeps). Every
 report goes through one emitter, which renders it as json, csv or text.
+`main` builds its parser once per process, on the first call, and looks
+up the `cmd_<command>` function by name on each call.
 
 Scenario files are JSON with keys "A" and "B" (row lists of Bloch
 directions), optional "Z" and "C" (m x m matrices), and an optional
@@ -32,6 +34,7 @@ from .geometry import MeasurementSettings
 from .smallmat import pinv, signed_svals
 
 _ROW_REJECT_TOL = 1e-3
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
 def _fmt(x) -> str:
@@ -352,34 +355,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="support function of a correlation body")
     _add_scenario_flags(sp)
     sp.add_argument("--model", choices=geometry.MODELS, required=True)
-    sp.set_defaults(func=cmd_support)
 
     sp = sub.add_parser("gauge", parents=[common],
                         help="gauge function of a correlation body")
     _add_scenario_flags(sp)
     sp.add_argument("--model", choices=geometry.MODELS, required=True)
-    sp.set_defaults(func=cmd_gauge)
 
     sp = sub.add_parser("witness", parents=[common],
                         help="optimal witness for a target state")
     _add_scenario_flags(sp)
     sp.add_argument("--model", choices=("sep", "qm"), default="sep")
     sp.add_argument("--state", help="target state, e.g. werner:0.2, tau:0.5, rho_max")
-    sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("verify", parents=[common],
                         help="run the verification battery")
     _add_scenario_flags(sp, required=False)
     sp.add_argument("--level", choices=selfcheck.LEVELS, default="quick")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("table1", parents=[common], help="critical-noise table")
-    sp.set_defaults(func=cmd_table1)
+    sub.add_parser("table1", parents=[common], help="critical-noise table")
 
     sp = sub.add_parser("ratios", parents=[common],
                         help="containment radii of the nested bodies")
     _add_scenario_flags(sp)
-    sp.set_defaults(func=cmd_ratios)
 
     sp = sub.add_parser("sweep", parents=[common], help="gauge along a noise family")
     _add_scenario_flags(sp)
@@ -387,16 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", dest="state_family", choices=("werner", "tau"),
                     default="werner")
     sp.add_argument("--points", type=int, default=21)
-    sp.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # by name, so that callers who rebind cmd_* see the calls
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ expansion, sampled dual ratios for the gauges, and a Frank-Wolfe projection
 for hull membership. The optimization-based routes are monotone lower
 bounds, so they can only fail in one direction. The kernels the routes and
 checks need (the rotation-factored SVD, the Procrustes maximizer over
-rotation components, the intrinsic determinant) and the random settings and
-state samplers live here as well.
+rotation components, the intrinsic determinant, which contracts along a
+fixed einsum path instead of searching for one per call) and the random
+settings and state samplers live here as well.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
                        (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]:
     LEVI_CIVITA[_i, _j, _k] = _s
 LEVI_CIVITA.setflags(write=False)
+
+# The contraction order that einsum's greedy search picks for det3_intrinsic's
+# final sum at every m from 2 to 10; fixing it skips the search on each call.
+_DET3_PATH = ["einsum_path", (0, 1), (0, 2), (1, 2), (0, 1)]
 
 
 class SpecialSvdResult(NamedTuple):
@@ -134,7 +139,7 @@ def det3_intrinsic(a, b, z) -> float:
         raise ValueError("shapes must be (m,3), (m,3) and (m,m)")
     ta = np.einsum("pqr,ip,jq,kr->ijk", LEVI_CIVITA, a, a, a)
     tb = np.einsum("pqr,lp,mq,nr->lmn", LEVI_CIVITA, b, b, b)
-    total = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=True)
+    total = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=_DET3_PATH)
     return float(total) / 6.0
 
 

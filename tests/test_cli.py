@@ -379,3 +379,72 @@ def test_state_flag_dense_matrix(capsys, tmp_path):
     rc, out, _ = run(capsys, "gauge", "--model", "qm", "--file", str(path))
     assert rc == 0
     assert "= 1" in out
+
+
+# The parser is built once per process and reused: errors, help and
+# defaults of one call must not change what the next call does.
+
+@pytest.mark.parametrize("argv", [
+    ("gauge", "--scenario", "chsh"),
+    ("nosuch",),
+    ("support", "--model", "qm", "--scenario", "chsh", "--file", "scen.json"),
+])
+def test_usage_error_leaves_the_parser_reusable(capsys, argv):
+    valid = ("gauge", "--model", "qm", "--scenario", "pauli3", "--format", "csv")
+    before = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: corrsets")
+    assert run(capsys, *valid) == before
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: corrsets")
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    rc, out, _ = run(capsys, "sweep", "--scenario", "pauli3", "--model", "qm",
+                     "--points", "5", "--format", "json", "--seed", "3")
+    assert rc == 0
+    assert len(json.loads(out)["points"]) == 5
+    rc, out, _ = run(capsys, "sweep", "--scenario", "pauli3", "--model", "qm")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "p gauge"
+    assert len(lines) == 1 + 21 + 1
+    assert lines[-1].startswith("seed=0 version=")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert run(capsys, "ratios", "--scenario", "chsh")[0] == 0
+    assert len(builds) == 1
+
+
+def test_dispatch_looks_up_the_command_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "table1")[0] == 0
+    seen = []
+
+    def stub(args):
+        seen.append((args.command, args.format))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_table1", stub)
+    assert run(capsys, "table1", "--format", "csv") == (7, "", "")
+    assert seen == [("table1", "csv")]

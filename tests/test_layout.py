@@ -1,4 +1,5 @@
-"""Module boundary: verification code lives in oracles and selfcheck only."""
+"""Module layout: verification code lives in oracles and selfcheck only, and
+cli builds its parser lazily and dispatches by name."""
 
 import ast
 import pathlib
@@ -49,3 +50,20 @@ def test_oracles_holds_the_moved_names():
     assert MOVED <= defined
     assert not defined & DELETED
     assert all(hasattr(oracles, name) for name in MOVED)
+
+
+def test_cli_builds_its_parser_lazily_and_dispatches_by_name():
+    # A command function bound into a long-lived parser, or a parser built
+    # at import, would not see functions rebound on the module afterwards.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert not [n for n in calls if isinstance(n.func, ast.Attribute)
+                and n.func.attr == "set_defaults"
+                and any(k.arg == "func" for k in n.keywords)]
+    in_functions = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    for stmt in f.body for n in ast.walk(stmt)}
+    assert not [n for n in calls if id(n) not in in_functions
+                and isinstance(n.func, ast.Name) and n.func.id == "build_parser"]
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "build_parser" for n in ast.walk(main))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from corrsets import smallmat
-from corrsets.oracles import det3_intrinsic, max_trace_over_rotations, special_svd
+from corrsets.oracles import (LEVI_CIVITA, det3_intrinsic, max_trace_over_rotations,
+                              special_svd)
 from corrsets.smallmat import (norm_minus, norm_plus, op_norm, pinv,
                                random_rotation, signed_svals, svdvals,
                                trace_norm)
@@ -206,6 +207,18 @@ def test_det3_intrinsic_random_m4():
         direct = np.linalg.det(a.T @ z @ b)
         scale = max(1.0, abs(direct))
         assert abs(det3_intrinsic(a, b, z) - direct) <= 1e-9 * scale
+
+
+def test_det3_intrinsic_fixed_path_matches_searched_path():
+    rng = np.random.default_rng(33)
+    for m in range(2, 6):
+        for _ in range(100):
+            a, b = rng.standard_normal((2, m, 3))
+            z = rng.standard_normal((m, m))
+            ta = np.einsum("pqr,ip,jq,kr->ijk", LEVI_CIVITA, a, a, a)
+            tb = np.einsum("pqr,lp,mq,nr->lmn", LEVI_CIVITA, b, b, b)
+            searched = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=True)
+            assert det3_intrinsic(a, b, z) == float(searched) / 6.0
 
 
 def test_det_sign_dead_zone():

@@ -12,7 +12,9 @@ items, and the rendered quick verification report followed by one line per
 check with `float.hex` of its worst deviation and its replay detail (the
 render rounds the first and hides the second for passing checks). It then
 prints the exit code, stdout and stderr of `verify --format json|csv` at
-seed 0 and of a fixed list of input errors, and last `float.hex` of the
+seed 0 and of a fixed list of input errors, then of every `--help` and of
+four usage errors that argparse rejects (with `COLUMNS=80`, so the help
+text does not depend on the terminal), and last `float.hex` of the
 Pauli expansion, its reassembly and the Theta map on a fixed list of
 states (the reports show these only to 12 digits). The inputs come from
 bench/workloads.py, which is imported and not modified. Scenario files are
@@ -42,9 +44,21 @@ from corrsets.oracles import random_quantum_state  # noqa: E402
 
 import workloads  # noqa: E402
 
+os.environ["COLUMNS"] = "80"
+
 SEEDS = range(5)
 GAUGE_ITEMS = 600
 WORKDIR = os.path.join(tempfile.gettempdir(), "corrsets-dump-outputs")
+COMMANDS = ("support", "gauge", "witness", "verify", "table1", "ratios", "sweep")
+# argparse rejects these before any command runs.
+USAGE_DECKS = [
+    ["--help"],
+    *([command, "--help"] for command in COMMANDS),
+    ["nosuch"],
+    ["gauge", "--scenario", "chsh"],
+    ["support", "--model", "qm", "--scenario", "chsh", "--file", "scen.json"],
+    ["table1", "--format", "xml"],
+]
 
 _EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -106,10 +120,13 @@ def _error_decks():
 
 def cli_lines():
     decks = [["verify", "--format", fmt, "--seed", "0"] for fmt in ("json", "csv")]
-    for argv in decks + _error_decks():
+    for argv in decks + _error_decks() + USAGE_DECKS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse exits on --help and usage errors
+                code = exc.code
         yield f"== cli exit={code}: {' '.join(argv)}"
         yield "-- stdout"
         yield out.getvalue().rstrip("\n")
