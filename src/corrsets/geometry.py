@@ -53,6 +53,9 @@ MODELS = (SEP, QM, MAX)
 UNIT_ROW_TOL = 1e-9
 RANGE_TOL = 1e-8
 DEGENERATE_ANGLE_TOL = 1e-9
+# Squared Frobenius norms of C for which the squares in that norm and in the
+# range deficits neither overflow nor underflow.
+_NORM_SQ_RANGE = (1e-200, 1e200)
 
 
 def _check_model(model: str) -> str:
@@ -255,19 +258,36 @@ def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
 
 
 def _gauge_core(s: MeasurementSettings, c):
-    """Range check plus W = A^+ C (B.T)^+; returns (finite, W, norm_c)."""
+    """Range check plus W = A^+ C (B.T)^+; returns (finite, W, norm_c).
+
+    norm_c is the Frobenius norm of C, or of C scaled by a power of two
+    when its square lies outside _NORM_SQ_RANGE; either way it is zero
+    exactly when C is.
+    """
     c = np.asarray(c, dtype=float)
     if c.shape != (s.m, s.m):
         raise ValueError(f"correlation matrix must be {s.m}x{s.m}, got {c.shape}")
-    norm_c = float(np.linalg.norm(c))
-    if not math.isfinite(norm_c) and not np.all(np.isfinite(c)):
-        raise ValueError("input has non-finite entries")
-    if norm_c == 0.0:
-        return True, np.zeros((3, 3)), 0.0
+    probe = c
+    # np.linalg.norm(c) squared, bit for bit (the same ddot), except that
+    # vdot raises no overflow warning.
+    flat = c.ravel(order="K")
+    norm_sq = float(np.vdot(flat, flat))
+    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
+        if not np.all(np.isfinite(c)):
+            raise ValueError("input has non-finite entries")
+        if not c.any():
+            return True, np.zeros((3, 3)), 0.0
+        # The squares overflow or underflow at this scale. The range test is
+        # scale invariant, so run it on C with its largest entry brought
+        # into [0.5, 1).
+        probe = np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])
+        flat = probe.ravel(order="K")
+        norm_sq = float(np.vdot(flat, flat))
+    norm_c = math.sqrt(norm_sq)
     a_pinv, b_pinv = s.pinv_a, s.pinv_b
-    if _range_deficit(s.a @ a_pinv, c) > RANGE_TOL * norm_c:
+    if _range_deficit(s.a @ a_pinv, probe) > RANGE_TOL * norm_c:
         return False, None, norm_c
-    if _range_deficit(s.b @ b_pinv, c.T) > RANGE_TOL * norm_c:
+    if _range_deficit(s.b @ b_pinv, probe.T) > RANGE_TOL * norm_c:
         return False, None, norm_c
     w = a_pinv @ c @ b_pinv.T
     return True, w, norm_c

@@ -23,6 +23,11 @@ EPS = float(np.finfo(float).eps)
 #: Default relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-10
 
+# Largest singular values in this range take the determinant directly: no
+# product of three singular values overflows, and the dead zone's absolute
+# eps floor stays below rounding level relative to s1.
+_DIRECT_DET_RANGE = (1e-8, 1e100)
+
 
 def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -79,6 +84,8 @@ def signed_svals(x):
     from one SVD and one determinant: ``s`` holds the singular values,
     descending along the last axis, and ``sign`` the dead_zone_sign of
     each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
+    The sign is invariant under positive scaling of ``x``, at any scale
+    that leaves the singular values finite and nonzero.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):
@@ -86,7 +93,17 @@ def signed_svals(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite entries")
     s = np.linalg.svd(x, compute_uv=False)
-    return s, dead_zone_sign(np.linalg.det(x), s)
+    lo, hi = _DIRECT_DET_RANGE
+    if x.ndim == 2 and (lo <= s[0] <= hi or s[0] == 0.0):
+        return s, dead_zone_sign(np.linalg.det(x), s)
+    # Scale each matrix whose s1 leaves the range by the power of two that
+    # brings s1 into [0.5, 1). The scaling is exact, so the sign is the one
+    # the rule gives at unit scale; the others keep a shift of zero.
+    top = s[..., 0]
+    off = (top > hi) | ((top < lo) & (top > 0.0))
+    shift = np.where(off, -np.frexp(top)[1], 0)
+    unit_x = np.ldexp(x, shift[..., None, None])
+    return s, dead_zone_sign(np.linalg.det(unit_x), np.ldexp(s, shift[..., None]))
 
 
 def norm_plus(x) -> float:

@@ -8,13 +8,16 @@ ordered |00>, |01>, |10>, |11>. A Hermitian 4x4 operator is written as
 
 and PauliForm holds the tuple (weight, ra, rb, t). One table of the sixteen
 products s_i x s_j (s_0 = I) serves the expansion, the assembly and the
-Theta map. The random state samplers that the verification battery draws
-from live in oracles.
+Theta map. The state classifier decides quantumness and separability
+eagerly from two eigenvalue computations and runs the block-positivity
+descent only when its result is first read. The random state samplers that
+the verification battery draws from live in oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +53,34 @@ class PauliForm:
     t: np.ndarray       # 3x3 correlation block
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StateClass:
+    """Place of a state in the hierarchy quantum, separable, block positive.
+
+    ``is_quantum`` and ``is_separable`` are decided when classify_state
+    builds the record. ``is_block_positive`` and ``min_product_overlap``
+    come from one block_positivity_minimum run with ``restarts`` and
+    ``seed``, started on the first read of either and cached.
+    """
+
     is_quantum: bool
     is_separable: bool
-    is_block_positive: bool
-    min_product_overlap: float
+    rho: np.ndarray = field(repr=False)   # read-only copy of the state
+    restarts: int
+    seed: int
+
+    @cached_property
+    def _product_minimum(self) -> float:
+        value, _, _ = block_positivity_minimum(pauli_expand(self.rho), self.restarts, self.seed)
+        return value
+
+    @property
+    def is_block_positive(self) -> bool:
+        return bool(self._product_minimum >= -_BLOCK_POS_TOL)
+
+    @property
+    def min_product_overlap(self) -> float:
+        return self._product_minimum / 4.0
 
 
 def _check_hermitian(x, name="operator"):
@@ -181,7 +206,9 @@ def classify_state(rho, restarts: int = 64, seed: int = 0) -> StateClass:
     is_quantum tests positive semidefiniteness, is_separable adds positivity
     of the partial transpose (complete for two qubits), and
     is_block_positive tests nonnegativity on all product vectors via
-    block_positivity_minimum. The three flags are nested.
+    block_positivity_minimum. The three flags are nested. The first two are
+    computed here; the descent runs on the first read of is_block_positive
+    or min_product_overlap.
     """
     rho = _check_hermitian(rho, "rho")
     if abs(np.trace(rho).real - 1.0) > 1e-9:
@@ -193,13 +220,9 @@ def classify_state(rho, restarts: int = 64, seed: int = 0) -> StateClass:
         is_separable = bool(pt_evs[0] >= -_PSD_TOL)
     else:
         is_separable = False
-    value, _, _ = block_positivity_minimum(pauli_expand(rho), restarts=restarts, seed=seed)
-    return StateClass(
-        is_quantum=is_quantum,
-        is_separable=is_separable,
-        is_block_positive=bool(value >= -_BLOCK_POS_TOL),
-        min_product_overlap=value / 4.0,
-    )
+    rho = rho.copy()
+    rho.setflags(write=False)
+    return StateClass(is_quantum, is_separable, rho, restarts, seed)
 
 
 def _check_orthogonal(q, tol=1e-9):
@@ -232,9 +255,13 @@ def max_entangled(q) -> np.ndarray:
     return rho
 
 
+_RHO_MAX = hull_state(np.eye(3))
+_RHO_MAX.setflags(write=False)
+
+
 def rho_max() -> np.ndarray:
     """Extreme non-quantum state: correlation block I3, no local terms."""
-    return hull_state(np.eye(3))
+    return _RHO_MAX.copy()
 
 
 def werner_state(p: float) -> np.ndarray:
@@ -248,7 +275,7 @@ def tau_state(p: float) -> np.ndarray:
     """(1-p) rho_max + p I4/4; quantum exactly when p >= 2/3."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise fraction must lie in [0, 1]")
-    return (1.0 - p) * rho_max() + p * I4 / 4.0
+    return (1.0 - p) * _RHO_MAX + p * I4 / 4.0
 
 
 def qubit_state(bloch) -> np.ndarray:

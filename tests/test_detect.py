@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, bqs_witness,
-                             chsh_settings, chsh_value, containment_radius,
-                             critical_noise, entanglement_witness,
+from corrsets import detect, twoqubit
+from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, TableRow,
+                             bqs_witness, chsh_settings, chsh_value,
+                             containment_radius, critical_noise,
+                             entanglement_witness,
                              i3322_settings, i3322_value, pauli_settings,
                              rotated_settings, table1)
 from corrsets.detect import witness_report
 from corrsets.geometry import (MAX, QM, SEP, MeasurementSettings,
                                correlation_matrix, gauge, support)
 from corrsets.oracles import random_separable_state
-from corrsets.twoqubit import rho_max, tau_state, werner_state
+from corrsets.twoqubit import partial_transpose, rho_max, tau_state, werner_state
 
 RNG = np.random.default_rng(19)
 
@@ -192,6 +194,25 @@ def test_table1_values():
 
     assert by_method["i3322"].two_setting is None
     assert abs(by_method["i3322"].three_setting - 0.2) <= 1e-6
+
+
+def test_table1_ppt_row_runs_no_descent(monkeypatch):
+    """The PPT row reads only the eager flags: no block-positivity descent
+    starts, and the row is bit-equal to a bisection over an eager flag."""
+    calls = []
+    monkeypatch.setattr(twoqubit, "block_positivity_minimum",
+                        lambda *args, **kwargs: calls.append(args))
+    rows = table1(chsh_settings(), pauli_settings())
+    assert calls == []
+
+    def entangled(p):
+        rho = werner_state(p)
+        separable = (np.linalg.eigvalsh(rho)[0] >= -1e-9
+                     and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -1e-9)
+        return -1.0 if separable else 1.0
+
+    ppt = detect._bisect_threshold(entangled, 0.0, 1.0, tol=1e-6)
+    assert rows[0] == TableRow("ppt", None, ppt)
 
 
 def test_table1_rejects_wrong_scenarios():

@@ -163,6 +163,31 @@ def test_finite_c_with_overflowing_norm_is_not_rejected():
             assert g.finite and g.value == pytest.approx(value)
 
 
+EXTREME_SCALES = (1e-200, 1e-120, 1e-30, 1e30, 1e120, 1e200)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", EXTREME_SCALES)
+@pytest.mark.parametrize("model", MODELS)
+def test_support_and_gauge_are_homogeneous_at_extreme_scales(model, k):
+    """support(kZ) = k support(Z) and gauge(kC) = k gauge(C) far from unit
+    scale, with no numpy warning; a C outside the range stays infinite."""
+    rng = np.random.default_rng(41)
+    cases = [(pauli_settings(), np.eye(3), np.eye(3))]
+    for m, rank in ((3, 3), (4, 3), (4, 2), (5, 2)):
+        s = draw_settings(rng, m, rank)
+        cases.append((s, rng.standard_normal((m, m)), feasible_c(rng, s)))
+    for s, z, c in cases:
+        assert support(model, s, k * z) / k == pytest.approx(support(model, s, z), rel=1e-12)
+        g = gauge(model, s, k * c)
+        assert g.finite
+        assert g.value / k == pytest.approx(gauge(model, s, c).value, rel=1e-12)
+    s = draw_settings(rng, 4, 2)
+    off_range = rng.standard_normal((4, 4))
+    assert not gauge(model, s, off_range).finite
+    assert not gauge(model, s, k * off_range).finite
+
+
 def test_gauge_value_contract():
     assert GaugeValue(False).value == float("inf")
     assert GaugeValue(True, 2.0).value == 2.0

@@ -250,6 +250,22 @@ def test_det_sign_matches_elementwise_rule():
     assert np.array_equal(signs, np.stack([sign for _, sign in singles]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_signed_svals_sign_is_scale_invariant():
+    """The sign of k x is the sign of x for k far from 1, one matrix at a time
+    and in a stack that mixes scales."""
+    rng = np.random.default_rng(23)
+    frames = rng.standard_normal((20, 3, 3))
+    _, signs = signed_svals(frames)
+    assert np.all(signs != 0.0)
+    scales = np.array([1e-200, 1e-120, 1e-30, 1e-9, 1.0, 1e30, 1e120, 1e200] * 3)[:20]
+    mixed = scales[:, None, None] * frames
+    for x, k, sign in zip(frames, scales, signs):
+        assert signed_svals(k * x)[1] == sign
+    assert np.array_equal(signed_svals(mixed)[1], signs)
+    assert signed_svals(1e-200 * np.diag([1.0, 1.0, 0.0]))[1] == 0.0
+
+
 def test_signed_svals_rejects_bad_input():
     for bad in (np.eye(2), np.zeros((2, 2, 3, 3)), np.diag([np.nan, 1.0, 1.0])):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corrsets import twoqubit
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
 from corrsets.oracles import (random_product_state, random_quantum_state,
                               random_separable_state)
@@ -160,6 +161,58 @@ def test_classify_tau_boundary():
 def test_classify_rejects_bad_trace():
     with pytest.raises(ValueError):
         classify_state(2.0 * werner_state(0.5))
+
+
+def test_classify_runs_the_descent_only_when_read(monkeypatch):
+    calls = []
+    descent = twoqubit.block_positivity_minimum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(twoqubit, "block_positivity_minimum", counted)
+    for p in (0.0, 0.5, 0.8):
+        cls = classify_state(werner_state(p), restarts=8)
+        assert cls.is_quantum and cls.is_separable == (p > 2.0 / 3.0)
+    assert not classify_state(tau_state(0.5)).is_quantum
+    assert calls == []
+    cls = classify_state(rho_max(), restarts=8, seed=3)
+    for _ in range(2):
+        assert cls.is_block_positive
+        assert abs(cls.min_product_overlap) <= 1e-6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("restarts", [8, 64])
+def test_lazy_fields_equal_the_direct_descent(restarts):
+    """Bit for bit the value of block_positivity_minimum on the expansion,
+    with the restarts and seed given to classify_state."""
+    states = [family(k / 20) for family in (werner_state, tau_state) for k in range(21)]
+    states += [rho_max()] + [random_quantum_state(seed) for seed in range(10)]
+    for i, rho in enumerate(states):
+        seed = i % 3
+        value, _, _ = block_positivity_minimum(pauli_expand(rho), restarts, seed)
+        cls = classify_state(rho, restarts=restarts, seed=seed)
+        assert cls.min_product_overlap.hex() == (value / 4.0).hex()
+        assert cls.is_block_positive == (value >= -1e-7)
+
+
+def test_classify_keeps_its_own_copy_of_the_state():
+    rho = np.array(tau_state(0.5))
+    cls = classify_state(rho)
+    rho[:] = 0.0
+    assert cls.is_block_positive and cls.min_product_overlap > 0.0
+
+
+def test_rho_max_is_a_fresh_writable_copy():
+    first, second = rho_max(), rho_max()
+    assert first is not second and first.flags.writeable
+    tau = tau_state(0.25)
+    first[:] = 0.0
+    assert _identical(rho_max(), second)
+    assert _identical(tau_state(0.25), tau)
+    assert _identical(tau, 0.75 * hull_state(np.eye(3)) + 0.25 * np.eye(4) / 4.0)
 
 
 def test_block_positivity_on_rho_max():

@@ -14,9 +14,11 @@ render rounds the first and hides the second for passing checks). It then
 prints the exit code, stdout and stderr of `verify --format json|csv` at
 seed 0 and of a fixed list of input errors, then of every `--help` and of
 four usage errors that argparse rejects (with `COLUMNS=80`, so the help
-text does not depend on the terminal), and last `float.hex` of the
-Pauli expansion, its reassembly and the Theta map on a fixed list of
-states (the reports show these only to 12 digits). The inputs come from
+text does not depend on the terminal), then `float.hex` of every cell of
+the critical-noise table, and last, on a fixed list of states, `float.hex`
+of the Pauli expansion, its reassembly and the Theta map, and the four
+fields of `classify_state` with `float.hex` of the minimum product
+overlap (the reports show these only to 12 digits). The inputs come from
 bench/workloads.py, which is imported and not modified. Scenario files are
 written to one fixed directory under the system temporary directory, since
 their paths appear in the reports. Two runs must therefore not overlap in
@@ -39,7 +41,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
-from corrsets import cli, geometry, selfcheck, smallmat, twoqubit  # noqa: E402
+from corrsets import cli, detect, geometry, selfcheck, smallmat, twoqubit  # noqa: E402
 from corrsets.oracles import random_quantum_state  # noqa: E402
 
 import workloads  # noqa: E402
@@ -134,6 +136,12 @@ def cli_lines():
         yield err.getvalue().rstrip("\n")
 
 
+def table1_lines():
+    for row in detect.table1(detect.chsh_settings(), detect.pauli_settings()):
+        cells = [str(v) if v is None else _hex(v) for v in (row.two_setting, row.three_setting)]
+        yield f"== table1 {row.method}: {' '.join(cells)}"
+
+
 def _pauli_states():
     for k in range(21):
         yield f"werner {k}/20", twoqubit.werner_state(k / 20)
@@ -158,6 +166,9 @@ def pauli_lines():
         yield f"== pauli {name} expand: {' '.join(_hex(v) for v in form)}"
         yield f"-- assemble: {_hex_complex(twoqubit.pauli_assemble(p))}"
         yield f"-- theta: {_hex_complex(twoqubit.apply_theta(rho))}"
+        cls = twoqubit.classify_state(rho)
+        yield (f"-- classify: {cls.is_quantum} {cls.is_separable} {cls.is_block_positive} "
+               f"{_hex(cls.min_product_overlap)}")
 
 
 def main() -> int:
@@ -169,7 +180,7 @@ def main() -> int:
         for produce in (reports_lines, gauge_stream_lines, verify_lines):
             for line in produce(seed):
                 print(line)
-    for produce in (cli_lines, pauli_lines):
+    for produce in (cli_lines, table1_lines, pauli_lines):
         for line in produce():
             print(line)
     return 0
