@@ -3,7 +3,9 @@ and the CHSH / I3322 reference tests.
 
 The gauge value of a correlation matrix doubles as a detection sensitivity:
 mixing the source state with white noise scales its correlations by (1 - p),
-so detection survives exactly while p < 1 - 1/gauge.
+so detection survives exactly while p < 1 - 1/gauge. The other noise
+thresholds are closed forms too: on the Werner family every detection
+margin is affine in p, so its root follows from the two endpoints.
 """
 
 from __future__ import annotations
@@ -69,9 +71,12 @@ def critical_noise(model: str, s: MeasurementSettings, c) -> float:
     g = geometry.gauge(model, s, c)
     if not g.finite:
         raise ValueError("gauge is infinite; critical noise is undefined")
-    if g.value <= 1.0:
-        return 0.0
-    return 1.0 - 1.0 / g.value
+    return _gauge_threshold(g.value)
+
+
+def _gauge_threshold(g: float) -> float:
+    """1 - 1/g for a finite gauge value g, and 0.0 when g <= 1."""
+    return 0.0 if g <= 1.0 else 1.0 - 1.0 / g
 
 
 def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
@@ -87,7 +92,7 @@ def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
         witness=build(s, z_star),
         z_star=z_star,
         sensitivity=g.value,
-        p_crit=0.0 if g.value <= 1.0 else 1.0 - 1.0 / g.value,
+        p_crit=_gauge_threshold(g.value),
     )
 
 
@@ -165,20 +170,23 @@ def i3322_value(rho, s3: MeasurementSettings) -> float:
     return float(np.sum(_I3322_JOINT * pj) - _I3322_MARGINAL_A @ pa - _I3322_MARGINAL_B @ pb)
 
 
-def _bisect_threshold(f, lo: float, hi: float, tol: float = 1e-7) -> float:
-    """Root of a decreasing function of the noise fraction on [lo, hi]."""
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0:
-        return lo
-    if fhi > 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _affine_root(f) -> float:
+    """Noise fraction at which a detection margin f reaches zero.
+
+    f(p) > 0 means the criterion still detects the Werner state
+    (1-p) Phi+ + p I4/4. Every margin here is affine in p: the partial
+    transpose and the correlators are linear in the state, and I4/4
+    commutes with everything, so for instance
+    lambda_min((1-p) X + p I4/4) = (1-p) lambda_min(X) + p/4. The root of
+    the line through f(0) and f(1) is therefore exact. A margin that is not
+    positive at p = 0 gives 0.0, and one still positive at p = 1 gives 1.0.
+    """
+    f0, f1 = f(0.0), f(1.0)
+    if f0 <= 0.0:
+        return 0.0
+    if f1 > 0.0:
+        return 1.0
+    return f0 / (f0 - f1)
 
 
 @dataclass
@@ -196,6 +204,10 @@ def table1(s2: MeasurementSettings, s3: MeasurementSettings) -> list[TableRow]:
     have no two-setting analogue, so those cells are None. The CHSH row is
     computed at its own optimal two-setting directions in both scenarios,
     since three settings only ever embed a two-setting subfamily.
+
+    Every cell is a closed form. The gauge row is 1 - 1/gauge, and the
+    other rows are the exact root of a margin affine in the noise fraction
+    (see _affine_root), so no cell depends on a search tolerance.
     """
     if s2.m != 2:
         raise ValueError("first scenario must have two settings per party")
@@ -203,11 +215,10 @@ def table1(s2: MeasurementSettings, s3: MeasurementSettings) -> list[TableRow]:
         raise ValueError("second scenario must have three full-rank settings per party")
     phi = twoqubit.PHI_PLUS
 
-    def still_entangled(p: float) -> float:
-        verdict = twoqubit.classify_state(twoqubit.werner_state(p), restarts=8)
-        return -1.0 if verdict.is_separable else 1.0
-
-    ppt = _bisect_threshold(still_entangled, 0.0, 1.0, tol=1e-6)
+    # Peres: for two qubits a state is separable exactly when its partial
+    # transpose is positive semidefinite.
+    ppt = _affine_root(lambda p: -float(
+        np.linalg.eigvalsh(twoqubit.partial_transpose(twoqubit.werner_state(p)))[0]))
 
     gauge_2 = critical_noise(SEP, s2, geometry.correlation_matrix(phi, s2))
     gauge_3 = critical_noise(SEP, s3, geometry.correlation_matrix(phi, s3))
@@ -215,14 +226,10 @@ def table1(s2: MeasurementSettings, s3: MeasurementSettings) -> list[TableRow]:
     # CHSH and the three-setting inequality are evaluated at their own optimal
     # directions: s2 is CHSH-optimal by contract, and the three-setting optimum
     # lives in a rank-2 plane that the full-rank s3 cannot contain.
-    chsh_p = _bisect_threshold(
-        lambda p: chsh_value(twoqubit.werner_state(p), s2) - 2.0,
-        0.0, 1.0, tol=1e-7)
+    chsh_p = _affine_root(lambda p: chsh_value(twoqubit.werner_state(p), s2) - 2.0)
 
     ineq3 = i3322_settings()
-    i3322_p = _bisect_threshold(
-        lambda p: i3322_value(twoqubit.werner_state(p), ineq3),
-        0.0, 1.0, tol=1e-7)
+    i3322_p = _affine_root(lambda p: i3322_value(twoqubit.werner_state(p), ineq3))
 
     return [
         TableRow("ppt", None, ppt),

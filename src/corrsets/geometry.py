@@ -53,8 +53,9 @@ MODELS = (SEP, QM, MAX)
 UNIT_ROW_TOL = 1e-9
 RANGE_TOL = 1e-8
 DEGENERATE_ANGLE_TOL = 1e-9
-# Squared Frobenius norms of C for which the squares in that norm and in the
-# range deficits neither overflow nor underflow.
+# Squared Frobenius norms of C (or Z) for which the squares in that norm, in
+# the range deficits and in the two-setting closed form neither overflow nor
+# underflow.
 _NORM_SQ_RANGE = (1e-200, 1e200)
 
 
@@ -185,11 +186,26 @@ def planar_settings(alpha: float, beta: float, rng=None) -> MeasurementSettings:
     return MeasurementSettings(a, b)
 
 
+def _square_sum(x: np.ndarray) -> float:
+    """Sum of the squared entries of x; ValueError if any entry is non-finite.
+
+    np.linalg.norm(x) squared, bit for bit (the same ddot), except that
+    vdot raises no overflow warning. A non-finite entry makes the sum
+    non-finite, so the entries are only inspected when it is.
+    """
+    flat = x.ravel(order="K")
+    norm_sq = float(np.vdot(flat, flat))
+    if not math.isfinite(norm_sq) and not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
+    return norm_sq
+
+
 def _frame(s: MeasurementSettings, z) -> np.ndarray:
     """A.T Z B, the coefficient matrix pushed into Bloch coordinates."""
     z = np.asarray(z, dtype=float)
     if z.shape != (s.m, s.m):
         raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
+    _square_sum(z)
     return s.a.T @ z @ s.b
 
 
@@ -243,6 +259,15 @@ def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (2, 2):
         raise ValueError(f"coefficient matrix must be 2x2, got {z.shape}")
+    norm_sq = _square_sum(z)
+    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1] and z.any():
+        # The squares below overflow or underflow at this scale. The support
+        # is positively homogeneous, so evaluate it on Z with its largest
+        # entry brought into [0.5, 1) and scale back; both scalings are
+        # exact, and a support beyond the float range comes back as inf,
+        # as it does from support.
+        e = math.frexp(np.max(np.abs(z)))[1]
+        return float(np.ldexp(support_m2_closed_form(model, s, np.ldexp(z, -e)), e))
     ga = _gram_2x2(ca)
     gb = _gram_2x2(cb)
     quad = float(np.trace(ga @ z @ gb @ z.T))
@@ -268,21 +293,15 @@ def _gauge_core(s: MeasurementSettings, c):
     if c.shape != (s.m, s.m):
         raise ValueError(f"correlation matrix must be {s.m}x{s.m}, got {c.shape}")
     probe = c
-    # np.linalg.norm(c) squared, bit for bit (the same ddot), except that
-    # vdot raises no overflow warning.
-    flat = c.ravel(order="K")
-    norm_sq = float(np.vdot(flat, flat))
+    norm_sq = _square_sum(c)
     if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
-        if not np.all(np.isfinite(c)):
-            raise ValueError("input has non-finite entries")
         if not c.any():
             return True, np.zeros((3, 3)), 0.0
         # The squares overflow or underflow at this scale. The range test is
         # scale invariant, so run it on C with its largest entry brought
         # into [0.5, 1).
         probe = np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])
-        flat = probe.ravel(order="K")
-        norm_sq = float(np.vdot(flat, flat))
+        norm_sq = _square_sum(probe)
     norm_c = math.sqrt(norm_sq)
     a_pinv, b_pinv = s.pinv_a, s.pinv_b
     if _range_deficit(s.a @ a_pinv, probe) > RANGE_TOL * norm_c:

@@ -511,14 +511,30 @@ def _check_ratio_scan(rng, sizes):
     return [_result("ratio-scan-approach", 2 * sizes["scan"], worst, 0.0)]
 
 
+def _bisect_threshold(f, lo: float, hi: float, tol: float = 1e-7) -> float:
+    """Root of a decreasing function of the noise fraction on [lo, hi]."""
+    flo, fhi = f(lo), f(hi)
+    if flo <= 0.0:
+        return lo
+    if fhi > 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _check_state_thresholds(rng, sizes):
     """Separability of the noisy singlet-type family flips at 2/3, and
     quantumness of the noisy beyond-quantum family flips at 2/3."""
     del rng, sizes
 
     def flip_point(flag):
-        # The shared bisection wants a function that is positive below the flip.
-        return detect._bisect_threshold(lambda p: -1.0 if flag(p) else 1.0, 0.0, 1.0)
+        # The bisection wants a function that is positive below the flip.
+        return _bisect_threshold(lambda p: -1.0 if flag(p) else 1.0, 0.0, 1.0)
 
     werner_flip = flip_point(
         lambda p: twoqubit.classify_state(twoqubit.werner_state(p), restarts=8).is_separable)

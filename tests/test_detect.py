@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from corrsets import detect, twoqubit
-from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, TableRow,
+from corrsets import selfcheck, twoqubit
+from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH,
                              bqs_witness, chsh_settings, chsh_value,
                              containment_radius, critical_noise,
                              entanglement_witness,
@@ -13,7 +13,7 @@ from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, TableRow,
 from corrsets.detect import witness_report
 from corrsets.geometry import (MAX, QM, SEP, MeasurementSettings,
                                correlation_matrix, gauge, support)
-from corrsets.oracles import random_separable_state
+from corrsets.oracles import random_separable_state, random_settings
 from corrsets.twoqubit import partial_transpose, rho_max, tau_state, werner_state
 
 RNG = np.random.default_rng(19)
@@ -183,22 +183,51 @@ def test_table1_values():
     assert set(by_method) == {"ppt", "gauge", "chsh", "i3322"}
 
     assert by_method["ppt"].two_setting is None
-    assert abs(by_method["ppt"].three_setting - 2.0 / 3.0) <= 1e-4
+    assert abs(by_method["ppt"].three_setting - 2.0 / 3.0) <= 1e-12
 
     assert abs(by_method["gauge"].two_setting - 0.5) <= 1e-6
     assert abs(by_method["gauge"].three_setting - 2.0 / 3.0) <= 1e-6
 
     chsh_p = 1.0 - 1.0 / np.sqrt(2.0)
-    assert abs(by_method["chsh"].two_setting - chsh_p) <= 1e-6
-    assert abs(by_method["chsh"].three_setting - chsh_p) <= 1e-6
+    assert abs(by_method["chsh"].two_setting - chsh_p) <= 1e-12
+    assert abs(by_method["chsh"].three_setting - chsh_p) <= 1e-12
 
     assert by_method["i3322"].two_setting is None
-    assert abs(by_method["i3322"].three_setting - 0.2) <= 1e-6
+    assert abs(by_method["i3322"].three_setting - 0.2) <= 1e-12
+
+
+def test_table1_neither_classifies_nor_bisects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table1 must not take this route")
+
+    monkeypatch.setattr(twoqubit, "classify_state", forbidden)
+    monkeypatch.setattr(selfcheck, "_bisect_threshold", forbidden)
+    rows = table1(chsh_settings(), pauli_settings())
+    assert [row.method for row in rows] == ["ppt", "gauge", "chsh", "i3322"]
+
+
+def test_table1_chsh_row_matches_the_bisection():
+    """The exact root agrees with the verification bisection on the same
+    margin, including settings whose CHSH value never exceeds 2."""
+    rng = np.random.default_rng(23)
+    cases = [chsh_settings()] + [random_settings(rng, 2, 2) for _ in range(12)]
+    never = 0
+    for s2 in cases:
+        row = {r.method: r for r in table1(s2, pauli_settings())}["chsh"]
+        bisected = selfcheck._bisect_threshold(
+            lambda p: chsh_value(werner_state(p), s2) - 2.0, 0.0, 1.0, tol=1e-7)
+        assert abs(row.two_setting - bisected) <= 1e-7
+        assert row.three_setting == row.two_setting
+        if chsh_value(werner_state(0.0), s2) <= 2.0:
+            never += 1
+            assert row.two_setting == 0.0 and bisected == 0.0
+    assert 0 < never < len(cases)
 
 
 def test_table1_ppt_row_runs_no_descent(monkeypatch):
-    """The PPT row reads only the eager flags: no block-positivity descent
-    starts, and the row is bit-equal to a bisection over an eager flag."""
+    """The PPT row starts no block-positivity descent, and it agrees with a
+    bisection over the eager separability flag to that bisection's
+    tolerance and with the exact 2/3 to rounding."""
     calls = []
     monkeypatch.setattr(twoqubit, "block_positivity_minimum",
                         lambda *args, **kwargs: calls.append(args))
@@ -211,8 +240,10 @@ def test_table1_ppt_row_runs_no_descent(monkeypatch):
                      and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -1e-9)
         return -1.0 if separable else 1.0
 
-    ppt = detect._bisect_threshold(entangled, 0.0, 1.0, tol=1e-6)
-    assert rows[0] == TableRow("ppt", None, ppt)
+    ppt = selfcheck._bisect_threshold(entangled, 0.0, 1.0, tol=1e-6)
+    assert rows[0].method == "ppt" and rows[0].two_setting is None
+    assert abs(rows[0].three_setting - ppt) <= 1e-6
+    assert abs(rows[0].three_setting - 2.0 / 3.0) <= 1e-12
 
 
 def test_table1_rejects_wrong_scenarios():

@@ -147,12 +147,22 @@ def test_gauge_infinite_off_range():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("fn", [gauge, optimizer_z])
+@pytest.mark.parametrize("fn", [gauge, optimizer_z, support])
 def test_nonfinite_c_raises_before_any_arithmetic(fn, model, entry):
     c = np.eye(3)
     c[1, 2] = entry
     with pytest.raises(ValueError, match="non-finite"):
         fn(model, pauli_settings(), c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("model", [SEP, QM])
+def test_support_m2_closed_form_rejects_nonfinite_z(model, entry):
+    z = np.eye(2)
+    z[0, 1] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        support_m2_closed_form(model, chsh_settings(), z)
 
 
 def test_finite_c_with_overflowing_norm_is_not_rejected():
@@ -186,6 +196,20 @@ def test_support_and_gauge_are_homogeneous_at_extreme_scales(model, k):
     off_range = rng.standard_normal((4, 4))
     assert not gauge(model, s, off_range).finite
     assert not gauge(model, s, k * off_range).finite
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1e-200, 1e-120, 1e120, 1e200])
+@pytest.mark.parametrize("model", [SEP, QM])
+def test_support_m2_closed_form_is_homogeneous_at_extreme_scales(model, k):
+    """The closed form squares Z; far from unit scale it must neither
+    overflow nor underflow, and it must still agree with support."""
+    s = chsh_settings()
+    z = np.array([[1.0, 0.5], [-0.3, 1.0]])
+    unit = support_m2_closed_form(model, s, z)
+    got = support_m2_closed_form(model, s, k * z)
+    assert got / k == pytest.approx(unit, rel=1e-12)
+    assert got == pytest.approx(support(model, s, k * z), rel=1e-12)
 
 
 def test_gauge_value_contract():

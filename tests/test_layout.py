@@ -52,6 +52,14 @@ def test_oracles_holds_the_moved_names():
     assert all(hasattr(oracles, name) for name in MOVED)
 
 
+def test_the_noise_bisection_lives_in_selfcheck_only():
+    # Production thresholds are closed forms; the bisection is the
+    # independent route that the battery checks them against.
+    assert "_bisect_threshold" in _imports_and_definitions("selfcheck")[1]
+    for name in PRODUCTION:
+        assert "_bisect_threshold" not in _imports_and_definitions(name)[1]
+
+
 def test_cli_builds_its_parser_lazily_and_dispatches_by_name():
     # A command function bound into a long-lived parser, or a parser built
     # at import, would not see functions rebound on the module afterwards.
