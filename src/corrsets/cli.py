@@ -15,6 +15,11 @@ directions), optional "Z" and "C" (m x m matrices), and an optional
 of unit length and rejected otherwise. Non-finite numbers (NaN, Infinity
 or an overflowing literal) anywhere in the file are rejected.
 
+Every subcommand accepts --seed, but only `verify` draws random numbers
+from it. The others compute no random quantity: they echo the seed in the
+json payload, the csv header and the text footer, and their results are
+the same at every seed.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on input errors.
 """
 
@@ -316,12 +321,18 @@ def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     family = twoqubit.werner_state if args.state_family == "werner" else twoqubit.tau_state
-    grid = np.linspace(0.0, 1.0, args.points)
+    # White noise adds no correlations, so C(p) = (1 - p) C(0) on both
+    # families, and the gauge is positively homogeneous: one gauge fills the
+    # grid. At p = 1, C is exactly zero, whose gauge is 0 even when C(0) is
+    # out of range. selfcheck compares this with the per-point route.
+    g0 = geometry.gauge(args.model, s, geometry.correlation_matrix(family(0.0), s))
     rows = []
-    for p in grid:
-        c = geometry.correlation_matrix(family(float(p)), s)
-        g = geometry.gauge(args.model, s, c)
-        rows.append((_fmt(p), _fmt(g.value) if g.finite else "inf"))
+    for p in np.linspace(0.0, 1.0, args.points):
+        if p == 1.0:
+            value = _fmt(0.0)
+        else:
+            value = _fmt((1.0 - p) * g0.value) if g0.finite else "inf"
+        rows.append((_fmt(p), value))
     payload = {
         "command": "sweep",
         "scenario": scenario.name,

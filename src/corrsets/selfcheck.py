@@ -670,6 +670,40 @@ def _check_rigidity(rng, sizes):
     return [worst.result("extremal-rigidity", n, 1e-7)]
 
 
+def _check_noise_homogeneity(rng, sizes):
+    """Gauges along both noise families scale as (1 - p) times the gauge at
+    p = 0, and vanish at p = 1.
+
+    White noise adds no correlations, so C(p) = (1 - p) C(0), and every gauge
+    is positively homogeneous; `corrsets sweep` relies on both. This is the
+    per-point route: one correlation matrix and one gauge at every p.
+    """
+    del sizes
+    grid = np.linspace(0.0, 1.0, 6)
+    worst = _Worst()
+    count = 0
+    for m, rank in _COMBOS:
+        s = oracles.random_settings(rng, m, rank)
+        for name, family in (("werner", twoqubit.werner_state),
+                             ("tau", twoqubit.tau_state)):
+            cs = [geometry.correlation_matrix(family(float(p)), s) for p in grid]
+            for model in geometry.MODELS:
+                g0 = geometry.gauge(model, s, cs[0])
+                for p, c in zip(grid[1:], cs[1:]):
+                    g = geometry.gauge(model, s, c)
+                    # C(0) lies in the range of the settings map, so every
+                    # gauge is finite; (1 - p) g0 is exactly 0 at p = 1.
+                    if g.finite and g0.finite:
+                        scaled = (1.0 - p) * g0.value
+                        dev = abs(g.value - scaled) / max(1.0, scaled)
+                    else:
+                        scaled = dev = float("inf")
+                    count += 1
+                    worst.offer(dev, model=model, family=name, p=float(p), a=s.a, b=s.b,
+                                per_point=g.value, scaled=scaled)
+    return [worst.result("noise-sweep-homogeneity", count, _TOL_EXACT)]
+
+
 def _check_scenario(s: MeasurementSettings, seed: int):
     """Spot-check the closed forms on one user-supplied scenario."""
     rng = np.random.default_rng(seed)
@@ -704,6 +738,7 @@ _CHECKS = [
     _check_hull_membership,
     _check_pullback,
     _check_rigidity,
+    _check_noise_homogeneity,
 ]
 
 

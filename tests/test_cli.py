@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from corrsets import cli, selfcheck
+from corrsets import cli, geometry, oracles, selfcheck, twoqubit
 
 
 def run(capsys, *argv):
@@ -151,6 +151,116 @@ def test_sweep_rejects_empty_grid(capsys):
     assert rc == 2
     assert out == ""
     assert "--points" in err
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("points", [21, 101])
+def test_sweep_evaluates_one_gauge(capsys, monkeypatch, points):
+    gauges = _counting(monkeypatch, geometry, "gauge")
+    correlations = _counting(monkeypatch, geometry, "correlation_matrix")
+    rc, out, _ = run(capsys, "sweep", "--scenario", "pauli3", "--model", "sep",
+                     "--points", str(points), "--format", "json")
+    assert rc == 0
+    assert len(json.loads(out)["points"]) == points
+    assert (len(gauges), len(correlations)) == (1, 1)
+
+
+_SWEEP_COMBOS = [(m, rank) for m in (2, 3, 4, 5) for rank in (1, 2, 3) if rank <= min(3, m)]
+
+
+@pytest.mark.parametrize("m,rank", _SWEEP_COMBOS)
+def test_sweep_matches_the_per_point_gauge(capsys, tmp_path, m, rank):
+    # The sweep scales one gauge by (1 - p); the reference evaluates the
+    # correlation matrix and the gauge at every point of the grid.
+    s = oracles.random_settings(np.random.default_rng(100 * m + rank), m, rank)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"A": s.a.tolist(), "B": s.b.tolist()}))
+    s = cli.load_scenario(str(path)).settings  # the rows the command reads
+    for family in ("werner", "tau"):
+        state = twoqubit.werner_state if family == "werner" else twoqubit.tau_state
+        for points in (1, 2, 5, 21, 101):
+            grid = np.linspace(0.0, 1.0, points)
+            cs = [geometry.correlation_matrix(state(float(p)), s) for p in grid]
+            for model in geometry.MODELS:
+                rc, out, _ = run(capsys, "sweep", "--file", str(path), "--model", model,
+                                 "--state", family, "--points", str(points),
+                                 "--format", "json")
+                assert rc == 0
+                got = json.loads(out)["points"]
+                assert [pt["p"] for pt in got] == [float(f"{p:.12g}") for p in grid]
+                for pt, c in zip(got, cs):
+                    want = geometry.gauge(model, s, c)
+                    assert want.finite
+                    assert abs(pt["gauge"] - want.value) <= 1e-11 * max(1.0, want.value), \
+                        (family, points, model, pt["p"])
+
+
+def test_sweep_of_an_out_of_range_correlation(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "gauge", lambda model, s, c: geometry.GaugeValue(False))
+    rc, out, _ = run(capsys, "sweep", "--scenario", "chsh", "--model", "qm",
+                     "--points", "5")
+    assert rc == 0
+    rows = [line.split() for line in out.splitlines()[1:-1]]
+    assert rows == [["0", "inf"], ["0.25", "inf"], ["0.5", "inf"], ["0.75", "inf"],
+                    ["1", "0"]]
+    rc, out, _ = run(capsys, "sweep", "--scenario", "chsh", "--model", "qm",
+                     "--points", "5", "--format", "json")
+    assert rc == 0
+    assert [pt["gauge"] for pt in json.loads(out)["points"]] == [None] * 4 + [0.0]
+
+
+def test_verify_checks_the_per_point_sweep_last(monkeypatch):
+    # Appended last, so the SeedSequence children of the other checks keep
+    # their index and every earlier check draws the same instances.
+    assert selfcheck._CHECKS[-1] is selfcheck._check_noise_homogeneity
+    sizes = selfcheck._SIZES["quick"]
+    result, = selfcheck._check_noise_homogeneity(np.random.default_rng(3), sizes)
+    assert (result.name, result.passed, result.instances) == ("noise-sweep-homogeneity",
+                                                              True, 330)
+    real = geometry.gauge
+
+    def offset(model, s, c):  # not homogeneous: nonzero at C = 0
+        g = real(model, s, c)
+        return geometry.GaugeValue(True, g.value + 1e-6) if g.finite else g
+
+    monkeypatch.setattr(geometry, "gauge", offset)
+    result, = selfcheck._check_noise_homogeneity(np.random.default_rng(3), sizes)
+    assert not result.passed
+    assert result.worst >= 0.99e-6
+    monkeypatch.setattr(geometry, "gauge", lambda model, s, c: geometry.GaugeValue(False))
+    result, = selfcheck._check_noise_homogeneity(np.random.default_rng(3), sizes)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("argv", [
+    ("support", "--model", "qm", "--scenario", "chsh"),
+    ("gauge", "--model", "sep", "--scenario", "pauli3"),
+    ("witness", "--model", "qm", "--scenario", "pauli3", "--state", "tau:0.2"),
+    ("ratios", "--scenario", "b-rot"),
+    ("sweep", "--model", "max", "--scenario", "i3322-opt", "--state", "tau"),
+    ("table1",),
+])
+def test_seed_is_only_echoed(capsys, argv):
+    # Only verify draws random numbers; every other command prints the seed
+    # it was given and nothing else that depends on it.
+    echoes = {"text": "seed={}", "csv": "seed={}", "json": '"seed": {}'}
+    for fmt, echo in echoes.items():
+        rc0, out0, _ = run(capsys, *argv, "--format", fmt, "--seed", "0")
+        rc9, out9, _ = run(capsys, *argv, "--format", fmt, "--seed", "9")
+        assert rc0 == rc9 == 0
+        assert out0.count(echo.format(0)) == 1
+        assert out9 == out0.replace(echo.format(0), echo.format(9))
 
 
 def test_ratios_arithmetic_error_exits_2(capsys, monkeypatch):

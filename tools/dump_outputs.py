@@ -15,16 +15,20 @@ prints the exit code, stdout and stderr of `verify --format json|csv` at
 seed 0 and of a fixed list of input errors, then of every `--help` and of
 four usage errors that argparse rejects (with `COLUMNS=80`, so the help
 text does not depend on the terminal), then `float.hex` of every cell of
-the critical-noise table, and last, on a fixed list of states, `float.hex`
-of the Pauli expansion, its reassembly and the Theta map, and the four
-fields of `classify_state` with `float.hex` of the minimum product
-overlap (the reports show these only to 12 digits). The inputs come from
-bench/workloads.py, which is imported and not modified. Scenario files are
-written to one fixed directory under the system temporary directory, since
-their paths appear in the reports. Two runs must therefore not overlap in
-time: they would rewrite each other's scenario files, and the `reports`
-items of their dumps would differ. Run the two checkouts one after the
-other. The script takes no options.
+the critical-noise table, then the json output of `sweep` at seed 0 for
+every scenario of the seed-0 `reports` deck, every model and both noise
+families at 5, 21 and 101 points (the deck itself runs one model and one
+family per scenario, at 21 points), and last, on a fixed list of states,
+`float.hex` of the Pauli expansion, its reassembly and the Theta map, and
+the four fields of `classify_state` with `float.hex` of the minimum
+product overlap (the reports show these only to 12 digits). The inputs
+come from bench/workloads.py, which is imported and not modified.
+Scenario files are written to one fixed directory under the system
+temporary directory, since their paths appear in the reports. Two runs
+must therefore not overlap in time: they would rewrite each other's
+scenario files, and the `reports` and `sweep` items of their dumps would
+differ. Run the two checkouts one after the other. The script takes no
+options.
 """
 
 from __future__ import annotations
@@ -142,6 +146,20 @@ def table1_lines():
         yield f"== table1 {row.method}: {' '.join(cells)}"
 
 
+def sweep_lines():
+    w = workloads.Reports(0, WORKDIR)
+    scenarios = sorted({tuple(argv[1:3]) for argv, _, _ in w.items if argv[0] == "ratios"})
+    for where in scenarios:
+        for model in geometry.MODELS:
+            for family in ("werner", "tau"):
+                for points in ("5", "21", "101"):
+                    argv = ["sweep", "--model", model, "--state", family, "--points", points,
+                            *where, "--format", "json", "--seed", "0"]
+                    code, text = w.run((argv,))
+                    yield f"== sweep exit={code}: {' '.join(argv)}"
+                    yield text.rstrip("\n")
+
+
 def _pauli_states():
     for k in range(21):
         yield f"werner {k}/20", twoqubit.werner_state(k / 20)
@@ -180,7 +198,7 @@ def main() -> int:
         for produce in (reports_lines, gauge_stream_lines, verify_lines):
             for line in produce(seed):
                 print(line)
-    for produce in (cli_lines, table1_lines, pauli_lines):
+    for produce in (cli_lines, table1_lines, sweep_lines, pauli_lines):
         for line in produce():
             print(line)
     return 0
