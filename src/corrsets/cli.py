@@ -13,12 +13,17 @@ directions), optional "Z" and "C" (m x m matrices), and an optional
 {"weight", "ra", "rb", "t"}, or a dense 4 x 4 matrix whose entries are
 [re, im] pairs. Rows of A and B are renormalized when they are within 1e-3
 of unit length and rejected otherwise. Non-finite numbers (NaN, Infinity
-or an overflowing literal) anywhere in the file are rejected.
+or an overflowing literal) and non-numeric entries (null, objects) in A,
+B, Z, C and the state are rejected, naming the key.
 
 Every subcommand accepts --seed, but only `verify` draws random numbers
 from it. The others compute no random quantity: they echo the seed in the
 json payload, the csv header and the text footer, and their results are
 the same at every seed.
+
+`support` and `gauge` print the singular values and determinant sign of the
+frame or core behind the value. Sign 0 means it is singular within rounding
+(s3 <= 8 eps s1, as at every rank r < 3), so it has no orientation.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input errors.
 """
@@ -85,13 +90,13 @@ def parse_state(value):
         missing = {"ra", "rb", "t"} - set(value)
         if missing:
             raise ValueError(f"Pauli-form state is missing {sorted(missing)}")
-        weight = float(value.get("weight", 1.0))
-        ra, rb, t = (np.asarray(value[key], dtype=float) for key in ("ra", "rb", "t"))
-        if ra.shape != (3,) or rb.shape != (3,) or t.shape != (3, 3):
-            raise ValueError("Pauli-form state needs 3-vectors ra and rb and a 3x3 t, "
-                             f"got shapes {ra.shape}, {rb.shape} and {t.shape}")
-        return twoqubit.pauli_assemble(twoqubit.PauliForm(weight, ra, rb, t))
-    dense = np.asarray(value, dtype=float)
+        weight, ra, rb, t = (_float_array(value.get(key, 1.0), key)
+                             for key in ("weight", "ra", "rb", "t"))
+        if weight.shape != () or ra.shape != (3,) or rb.shape != (3,) or t.shape != (3, 3):
+            raise ValueError("Pauli-form state needs 3-vectors ra and rb, a 3x3 t and a number "
+                             f"weight, got {ra.shape}, {rb.shape}, {t.shape}, {weight.shape}")
+        return twoqubit.pauli_assemble(twoqubit.PauliForm(float(weight), ra, rb, t))
+    dense = _float_array(value, "state")
     if dense.shape == (4, 4, 2):
         return dense[..., 0] + 1j * dense[..., 1]
     if dense.shape == (4, 4):
@@ -99,10 +104,21 @@ def parse_state(value):
     raise ValueError("dense states must be 4x4 with real or [re, im] entries")
 
 
+def _float_array(value, key: str) -> np.ndarray:
+    """A scenario entry as a float array; null or an object is an error naming key."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except TypeError:
+        array = None
+    if array is None or not np.all(np.isfinite(array)):
+        raise ValueError(f"{key} must hold finite numbers only")
+    return array
+
+
 def _load_rows(data, key) -> np.ndarray:
     if key not in data:
         raise ValueError(f"scenario file is missing {key!r}")
-    rows = np.asarray(data[key], dtype=float)
+    rows = _float_array(data[key], key)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"{key} must be a list of 3-vectors")
     norms = np.linalg.norm(rows, axis=1)
@@ -129,7 +145,7 @@ def load_scenario(path: str) -> Scenario:
     def square(key):
         if key not in data:
             return None
-        mat = np.asarray(data[key], dtype=float)
+        mat = _float_array(data[key], key)
         if mat.shape != (m, m):
             raise ValueError(f"{key} must be {m}x{m}, got {mat.shape}")
         return mat

@@ -103,14 +103,6 @@ class MeasurementSettings:
         return self.a.shape[0]
 
     @cached_property
-    def gram_a(self) -> np.ndarray:
-        return _read_only(self.a @ self.a.T)
-
-    @cached_property
-    def gram_b(self) -> np.ndarray:
-        return _read_only(self.b @ self.b.T)
-
-    @cached_property
     def rank_a(self) -> int:
         return _numerical_rank(self.a)
 

@@ -213,7 +213,7 @@ def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (s.m, s.m):
         raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
-    mm = _psd_sqrt(s.gram_a) @ z @ _psd_sqrt(s.gram_b)
+    mm = _psd_sqrt(s.a @ s.a.T) @ z @ _psd_sqrt(s.b @ s.b.T)
     sv = svdvals(mm)
     if model == SEP:
         return float(sv[0]) if sv.size else 0.0

@@ -6,8 +6,8 @@ and the command line run on: singular values, Moore-Penrose pseudoinverse,
 the operator and trace norms, the signed norms s1 + s2 +/- s3 * sgn(det),
 and Haar-distributed random rotations. The package has one
 signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
-(k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign;
-and one Haar sampler, random_rotation. Kernels that only the verification
+(k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign
+(0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation. Kernels that only the verification
 battery uses live in oracles.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
@@ -23,10 +23,7 @@ EPS = float(np.finfo(float).eps)
 #: Default relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-10
 
-# Largest singular values in this range take the determinant directly: no
-# product of three singular values overflows, and the dead zone's absolute
-# eps floor stays below rounding level relative to s1.
-_DIRECT_DET_RANGE = (1e-8, 1e100)
+_DEAD_ZONE = 8 * EPS  # relative to s1; see dead_zone_sign
 
 
 def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
@@ -66,26 +63,30 @@ def trace_norm(x) -> float:
 def dead_zone_sign(det, sv):
     """Sign of a 3x3 determinant with a dead zone near zero, elementwise.
 
-    ``det`` holds determinants and ``sv`` the matching singular values,
-    descending along the last axis (zero-padded to three), so stacks of
-    matrices work as well as single ones. The sign is 0.0 wherever |det| is
-    at most s1 * s2 * max(s3, eps) * 1e-12, exactly singular matrices of
-    rank <= 1 included. The signed norms are continuous there (the s3 term
-    vanishes), so the collapsed sign costs no accuracy.
+    ``det`` holds determinants (or their signs) and ``sv`` the matching
+    singular values, descending along the last axis (zero-padded to three),
+    so stacks work as well as single matrices. The sign is 0.0 wherever
+    s3 <= 8 * eps * s1. Computed singular values are exact for a
+    perturbation of size about eps * s1 (Weyl; Golub & Van Loan, Matrix
+    Computations, section 8.6), so there the matrix is singular within its
+    backward error and its sign is noise. 8 sits above that noise and far
+    below full rank: over 40,000 frames A^T Z B of seeded rank-2 settings
+    (m = 2..5, Gaussian Z) s3 was at most 2.6 * eps * s1, and over 15,000
+    full-rank ones s3/s1 was at least 2.8e-7. The collapsed sign moves the
+    signed norms by at most 8 * eps * s1.
     """
-    dead = np.abs(det) <= 1e-12 * sv[..., 0] * sv[..., 1] * np.maximum(sv[..., 2], EPS)
-    return np.where(dead, 0.0, np.sign(det))
+    return np.where(sv[..., 2] <= _DEAD_ZONE * sv[..., 0], 0.0, np.sign(det))
 
 
 def signed_svals(x):
     """Singular values and dead-zoned determinant sign of 3x3 matrices.
 
     ``x`` is one 3x3 matrix or a (k, 3, 3) stack. Returns ``(s, sign)``
-    from one SVD and one determinant: ``s`` holds the singular values,
+    from one SVD and one ``slogdet``: ``s`` holds the singular values,
     descending along the last axis, and ``sign`` the dead_zone_sign of
     each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
-    The sign is invariant under positive scaling of ``x``, at any scale
-    that leaves the singular values finite and nonzero.
+    The sign of ``slogdet`` neither overflows nor underflows, so the sign
+    is invariant under positive scaling of ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):
@@ -93,17 +94,7 @@ def signed_svals(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite entries")
     s = np.linalg.svd(x, compute_uv=False)
-    lo, hi = _DIRECT_DET_RANGE
-    if x.ndim == 2 and (lo <= s[0] <= hi or s[0] == 0.0):
-        return s, dead_zone_sign(np.linalg.det(x), s)
-    # Scale each matrix whose s1 leaves the range by the power of two that
-    # brings s1 into [0.5, 1). The scaling is exact, so the sign is the one
-    # the rule gives at unit scale; the others keep a shift of zero.
-    top = s[..., 0]
-    off = (top > hi) | ((top < lo) & (top > 0.0))
-    shift = np.where(off, -np.frexp(top)[1], 0)
-    unit_x = np.ldexp(x, shift[..., None, None])
-    return s, dead_zone_sign(np.linalg.det(unit_x), np.ldexp(s, shift[..., None]))
+    return s, dead_zone_sign(np.linalg.slogdet(x)[0], s)
 
 
 def norm_plus(x) -> float:

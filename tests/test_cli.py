@@ -414,7 +414,8 @@ def test_missing_state_for_witness(capsys, tmp_path):
 
 def test_pauli_form_state_with_wrong_shape(capsys, tmp_path):
     good = {"ra": [0, 0, 0], "rb": [0, 0, 0], "t": np.zeros((3, 3)).tolist()}
-    for key, bad in (("ra", [0, 0]), ("ra", [0, 0, 0, 0]), ("t", np.zeros((2, 2)).tolist())):
+    for key, bad in (("ra", [0, 0]), ("ra", [0, 0, 0, 0]), ("t", np.zeros((2, 2)).tolist()),
+                     ("weight", [1.0, 1.0])):
         path = tmp_path / f"shape-{key}-{len(bad)}.json"
         path.write_text(json.dumps({"A": np.eye(3).tolist(), "B": np.eye(3).tolist(),
                                     "Z": np.eye(3).tolist(),
@@ -453,6 +454,41 @@ def test_nonfinite_scenario_entries_exit_2(capsys, tmp_path, name, command):
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+_NON_NUMERIC_FILES = {
+    "weight": {"state": {"weight": None, "ra": [0, 0, 0], "rb": [0, 0, 0],
+                         "t": np.zeros((3, 3)).tolist()}},
+    "A": {"A": [[{}, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "Z": {"Z": {"x": 1}},
+}
+
+
+@pytest.mark.parametrize("command", ["support", "gauge", "witness"])
+@pytest.mark.parametrize("key", sorted(_NON_NUMERIC_FILES))
+def test_non_numeric_scenario_entries_exit_2(capsys, tmp_path, key, command):
+    path = tmp_path / f"non-numeric-{key}.json"
+    base = {"A": np.eye(3).tolist(), "B": np.eye(3).tolist(), "Z": np.eye(3).tolist(),
+            "state": "werner:0.2"}
+    path.write_text(json.dumps(dict(base, **_NON_NUMERIC_FILES[key])))
+    rc, out, err = run(capsys, command, "--model", "qm", "--file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {key} must hold finite numbers only\n"
+
+
+def test_rank_2_frame_has_no_determinant_sign(capsys, tmp_path):
+    """The frame of rank-2 settings is singular within rounding (its s3 is
+    about 1e-17 here), so the report prints sign 0, not a noise sign."""
+    rng = np.random.default_rng(0)
+    s = oracles.random_settings(rng, 3, 2)
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps({"A": s.a.tolist(), "B": s.b.tolist(),
+                                "Z": rng.standard_normal((3, 3)).tolist()}))
+    rc, out, _ = run(capsys, "support", "--model", "qm", "--file", str(path))
+    assert rc == 0
+    assert "rank r: 2" in out
+    assert "frame determinant sign: 0\n" in out
 
 
 def test_witness_of_vanishing_target_exits_2(capsys):

@@ -82,3 +82,37 @@ def test_text_changes_and_missing_lines_are_listed(tmp_path, capsys):
 def test_usage_error(capsys):
     assert compare_dumps.main(["only-one.txt"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def _battery_dump(seeds=40, checks=12):
+    lines = []
+    for seed in range(seeds):
+        lines += [f"== verify-quick seed={seed}", "-- stdout", "summary: ok"]
+        lines += [f"-- check c{k} {(seed + k / 7.0).hex()} ok" for k in range(checks)]
+    return lines
+
+
+def test_inserted_line_shifts_nothing_after_it(tmp_path, capsys):
+    """Lines are aligned, not paired by position: one inserted line is one
+    text line, and a changed value after it is still a numeric line."""
+    old = _battery_dump()
+    new = list(old)
+    new.insert(20, "-- check noise-sweep-homogeneity 0x0.0p+0 ok")
+    moved = math.nextafter(3.0, 4.0)
+    new[new.index("-- check c0 " + (3.0).hex() + " ok")] = "-- check c0 " + moved.hex() + " ok"
+    code, out = _run(tmp_path, capsys, old, new)
+    assert code == 1
+    assert out[:3] == ["text line 21 [verify-quick]", "- <absent>",
+                       "+ -- check noise-sweep-homogeneity 0x0.0p+0 ok"]
+    assert out[3].startswith("numeric [verify-quick]: 1 lines differ")
+    assert out[-1] == "1 text lines and 1 numeric lines differ"
+
+
+def test_deleted_and_unpaired_lines_keep_their_own_numbers():
+    old = _battery_dump(seeds=3)
+    new = old[:5] + old[6:]
+    new[9:11] = ["-- check c7 changed"]
+    text, numeric = compare_dumps.compare(old, new)
+    assert numeric == {}
+    assert [(number, o, n) for number, _, o, n in text] == [
+        (6, old[5], None), (10, old[10], "-- check c7 changed"), (12, old[11], None)]

@@ -43,7 +43,7 @@ def test_settings_are_immutable():
         s.a = np.tile([0.0, 0.0, 1.0], (3, 1))
     with pytest.raises(ValueError):
         s.a[0, 0] = 0.0
-    for cached in (s.pinv_a, s.pinv_b, s.row_basis_a, s.row_basis_b, s.gram_a):
+    for cached in (s.pinv_a, s.pinv_b, s.row_basis_a, s.row_basis_b):
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
     rows[0, 0] = 0.5

@@ -5,7 +5,7 @@ import pytest
 
 from corrsets import smallmat
 from corrsets.oracles import (LEVI_CIVITA, det3_intrinsic, max_trace_over_rotations,
-                              special_svd)
+                              random_settings, special_svd)
 from corrsets.smallmat import (norm_minus, norm_plus, op_norm, pinv,
                                random_rotation, signed_svals, svdvals,
                                trace_norm)
@@ -227,6 +227,9 @@ def test_det_sign_dead_zone():
     assert signed_svals(np.diag([1.0, -1.0, 1.0]))[1] == -1.0
     assert signed_svals(np.zeros((3, 3)))[1] == 0.0
     assert signed_svals(np.diag([1.0, 0.0, 0.0]))[1] == 0.0
+    eps = np.finfo(float).eps
+    assert signed_svals(np.diag([1.0, 1.0, 8.0 * eps]))[1] == 0.0
+    assert signed_svals(np.diag([1.0, 1.0, 9.0 * eps]))[1] == 1.0
 
 
 def test_det_sign_matches_elementwise_rule():
@@ -248,6 +251,30 @@ def test_det_sign_matches_elementwise_rule():
     singles = [signed_svals(x) for x in frames]
     assert np.array_equal(values, np.stack([s for s, _ in singles]))
     assert np.array_equal(signs, np.stack([sign for _, sign in singles]))
+    # the rank-2 products and the rank-1 outer products are singular within
+    # rounding, so their sign is in the dead zone
+    assert np.all(signs[50:] == 0.0)
+    assert np.all(signs[:50] != 0.0)
+
+
+def test_det_sign_dead_zone_on_settings_frames():
+    """Frames A^T Z B of seeded rank-2 settings all get sign 0, and those of
+    full-rank settings all get +-1. Rank 1 is covered by the exact outer
+    products above only: a rank-1 settings frame carries the rounding error
+    of forming A^T Z B, about eps * |A| |Z| |B|, which can exceed a hundred
+    times eps * s1 when s1 is small against those norms."""
+    rng = np.random.default_rng(29)
+    for m in (2, 3, 4, 5):
+        for rank in (2, 3) if m >= 3 else (2,):
+            frames = []
+            for _ in range(100):
+                s = random_settings(rng, m, rank)
+                frames.append(s.a.T @ rng.standard_normal((m, m)) @ s.b)
+            _, signs = signed_svals(np.array(frames))
+            if rank == 2:
+                assert np.all(signs == 0.0), (m, rank)
+            else:
+                assert np.all(np.abs(signs) == 1.0), (m, rank)
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,12 +2,15 @@
 
     python3 tools/compare_dumps.py old.txt new.txt
 
-Lines are paired by position, and identical pairs pass. A differing pair
-that is equal once its `float.hex` numbers are taken out is a numeric line;
-its deviation is the largest relative difference |a - b| / max(|a|, |b|)
-over its numbers, and the report gives the largest deviation and the
-number of numeric lines per section. Every other differing pair, and every
-line that only one dump has, is a text line and is printed in full. A
+The dumps are aligned with difflib.SequenceMatcher, so a line that one
+dump inserts or deletes shifts nothing after it. Lines in equal blocks
+pass. The lines of a replaced block are paired in order; a pair that is
+equal once its `float.hex` numbers are taken out is a numeric line, whose
+deviation is the largest relative difference |a - b| / max(|a|, |b|) over
+its numbers, and the report gives the largest deviation and the number of
+numeric lines per section. Every other pair, and every line that only one
+dump has, is a text line and is printed in full. Line numbers are those of
+the new dump, and of the old dump for a line that only the old dump has. A
 section is the first word of the last header line ("== reports ...",
 "== pauli ...") at or before the line. The exit code is 0 when the dumps
 are identical and 1 otherwise.
@@ -18,6 +21,7 @@ explains every differing text line; see ROADMAP.md.
 
 from __future__ import annotations
 
+import difflib
 import itertools
 import math
 import re
@@ -40,6 +44,15 @@ def relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _sections(lines) -> list[str]:
+    sections, section = [], ""
+    for line in lines:
+        if line.startswith("== "):
+            section = line[3:].split(maxsplit=1)[0].rstrip(":")
+        sections.append(section)
+    return sections
+
+
 def compare(old_lines, new_lines):
     """Differences of two dumps.
 
@@ -48,25 +61,26 @@ def compare(old_lines, new_lines):
     (count, largest deviation, line number of the largest).
     """
     text, numeric = [], {}
-    section = ""
-    pairs = itertools.zip_longest(old_lines, new_lines)
-    for number, (old, new) in enumerate(pairs, start=1):
-        head = old if old is not None else new
-        if head.startswith("== "):
-            section = head[3:].split(maxsplit=1)[0].rstrip(":")
-        if old == new:
+    old_sections, new_sections = _sections(old_lines), _sections(new_lines)
+    matcher = difflib.SequenceMatcher(None, old_lines, new_lines)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
             continue
-        if old is not None and new is not None:
-            old_rest, old_values = _split(old)
-            new_rest, new_values = _split(new)
-            if old_values and old_rest == new_rest and len(old_values) == len(new_values):
-                dev = max(map(relative_deviation, old_values, new_values))
-                count, worst, where = numeric.get(section, (0, -1.0, 0))
-                if dev > worst:
-                    worst, where = dev, number
-                numeric[section] = (count + 1, worst, where)
-                continue
-        text.append((number, section, old, new))
+        for i, j in itertools.zip_longest(range(i1, i2), range(j1, j2)):
+            old = None if i is None else old_lines[i]
+            new = None if j is None else new_lines[j]
+            number, section = (i + 1, old_sections[i]) if j is None else (j + 1, new_sections[j])
+            if old is not None and new is not None:
+                old_rest, old_values = _split(old)
+                new_rest, new_values = _split(new)
+                if old_values and old_rest == new_rest and len(old_values) == len(new_values):
+                    dev = max(map(relative_deviation, old_values, new_values))
+                    count, worst, where = numeric.get(section, (0, -1.0, 0))
+                    if dev > worst:
+                        worst, where = dev, number
+                    numeric[section] = (count + 1, worst, where)
+                    continue
+            text.append((number, section, old, new))
     return text, numeric
 
 
