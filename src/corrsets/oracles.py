@@ -9,9 +9,12 @@ expansion, sampled dual ratios for the gauges, and a Frank-Wolfe projection
 for hull membership. The optimization-based routes are monotone lower
 bounds, so they can only fail in one direction. The kernels the routes and
 checks need (the rotation-factored SVD, the Procrustes maximizer over
-rotation components, the intrinsic determinant, which contracts along a
-fixed einsum path instead of searching for one per call) and the random
-settings and state samplers live here as well.
+rotation components, the intrinsic determinant) and the random settings and
+state samplers live here as well. The intrinsic determinant and the
+Gram-picture supports also take (k, ...) stacks, so the battery draws its
+instances one by one and evaluates these routes once per stack. np.einsum
+runs its path search (einsum_path) on every call, even when given a fixed
+path, so stacking is what amortizes it: once per call over the whole stack.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import MAX, QM, SEP, MeasurementSettings
-from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation, signed_svals, svdvals
+from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation, signed_svals
 from .twoqubit import qubit_state
 
 
@@ -57,7 +60,8 @@ for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
 LEVI_CIVITA.setflags(write=False)
 
 # The contraction order that einsum's greedy search picks for det3_intrinsic's
-# final sum at every m from 2 to 10; fixing it skips the search on each call.
+# final sum at every m from 2 to 10. Given this path, einsum still calls
+# einsum_path on each call; a stacked call makes that call once for the stack.
 _DET3_PATH = ["einsum_path", (0, 1), (0, 2), (1, 2), (0, 1)]
 
 
@@ -123,24 +127,29 @@ def max_trace_over_rotations(x, component: str = "SO3"):
     return value, q
 
 
-def det3_intrinsic(a, b, z) -> float:
+def det3_intrinsic(a, b, z):
     """det(a.T @ z @ b) from row triples, without forming the product.
 
     For measurement matrices a, b (m x 3) and weights z (m x m) this
     expands the determinant through the antisymmetric tensors
     t_{ijk} = det[row_i, row_j, row_k], so the value depends only on
-    quantities expressible in the rows themselves.
+    quantities expressible in the rows themselves. Leading axes are a
+    stack: a, b of shape (..., m, 3) and z of shape (..., m, m) give an
+    array of shape (...), each entry bit-equal to its single-instance
+    value; one instance gives a float.
     """
-    a = _as_finite_matrix(a, "a")
-    b = _as_finite_matrix(b, "b")
-    z = _as_finite_matrix(z, "z")
-    m = a.shape[0]
-    if a.shape[1] != 3 or b.shape[1] != 3 or b.shape[0] != m or z.shape != (m, m):
-        raise ValueError("shapes must be (m,3), (m,3) and (m,m)")
-    ta = np.einsum("pqr,ip,jq,kr->ijk", LEVI_CIVITA, a, a, a)
-    tb = np.einsum("pqr,lp,mq,nr->lmn", LEVI_CIVITA, b, b, b)
-    total = np.einsum("ijk,il,jm,kn,lmn->", ta, z, z, z, tb, optimize=_DET3_PATH)
-    return float(total) / 6.0
+    a, b, z = (np.asarray(x, dtype=float) for x in (a, b, z))
+    m = a.shape[-2] if a.ndim >= 2 else -1
+    if a.shape[-1:] != (3,) or b.shape != a.shape or z.shape != a.shape[:-1] + (m,):
+        raise ValueError("shapes must be (..., m, 3), (..., m, 3) and (..., m, m)")
+    for name, x in (("a", a), ("b", b), ("z", z)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} has non-finite entries")
+    ta = np.einsum("pqr,...ip,...jq,...kr->...ijk", LEVI_CIVITA, a, a, a)
+    tb = np.einsum("pqr,...lp,...mq,...nr->...lmn", LEVI_CIVITA, b, b, b)
+    total = np.einsum("...ijk,...il,...jm,...kn,...lmn->...", ta, z, z, z, tb,
+                      optimize=_DET3_PATH) / 6.0
+    return float(total) if total.ndim == 0 else total
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -196,8 +205,25 @@ def support_max_oracle(s: MeasurementSettings, z) -> float:
 
 
 def _psd_sqrt(g: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix or a (k, m, m) stack of them."""
     w, v = np.linalg.eigh(g)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _gram_supports(a, b, z) -> np.ndarray:
+    """Gram-picture supports of a stack: (k, 3), one column per model in MODELS.
+
+    a, b have shape (k, m, 3) and z (k, m, m). Each party's Gram square root
+    is taken once per instance, and one SVD and one intrinsic determinant
+    serve all three models.
+    """
+    mm = _psd_sqrt(a @ np.swapaxes(a, -1, -2)) @ z @ _psd_sqrt(b @ np.swapaxes(b, -1, -2))
+    sv = np.linalg.svd(mm, compute_uv=False)
+    s3 = np.zeros(sv.shape[:-1] + (3,))
+    s3[..., : min(3, sv.shape[-1])] = sv[..., :3]
+    sign = dead_zone_sign(det3_intrinsic(a, b, z), s3)
+    return np.stack([sv[..., 0], s3[..., 0] + s3[..., 1] - s3[..., 2] * sign,
+                     sv.sum(axis=-1)], axis=-1)
 
 
 def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
@@ -207,22 +233,13 @@ def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
     those of A.T Z B, and recovers the orientation sign for the quantum
     model from the basis-free determinant expansion. Agreement with
     ``support`` witnesses that the bodies depend on the settings only
-    through their Gram data.
+    through their Gram data. One instance of _gram_supports.
     """
     geometry._check_model(model)
-    z = np.asarray(z, dtype=float)
+    z = _as_finite_matrix(z, "z")
     if z.shape != (s.m, s.m):
         raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
-    mm = _psd_sqrt(s.a @ s.a.T) @ z @ _psd_sqrt(s.b @ s.b.T)
-    sv = svdvals(mm)
-    if model == SEP:
-        return float(sv[0]) if sv.size else 0.0
-    if model == MAX:
-        return float(sv.sum())
-    s3 = np.zeros(3)
-    s3[: min(3, sv.size)] = sv[:3]
-    sign = float(dead_zone_sign(det3_intrinsic(s.a, s.b, z), s3))
-    return float(s3[0] + s3[1] - s3[2] * sign)
+    return float(_gram_supports(s.a[None], s.b[None], z[None])[0, geometry.MODELS.index(model)])
 
 
 def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.ndarray:
@@ -362,7 +379,8 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
             if norms.min() < 1e-6:
                 continue
             rows /= norms[:, None]
-            if np.linalg.matrix_rank(rows, tol=1e-8) == rank:
+            # the count np.linalg.matrix_rank(rows, tol=1e-8) makes
+            if np.sum(np.linalg.svd(rows, compute_uv=False) > 1e-8) == rank:
                 return rows
 
     return MeasurementSettings(one_party(), one_party())

@@ -2,16 +2,23 @@
 
 Each check draws fresh random instances, compares two ways of computing the
 same quantity, and reports the worst deviation it saw. A failing check
-serializes one offending instance as JSON so it can be replayed by hand.
+serializes one offending instance as JSON so it can be replayed by hand. A
+NaN deviation fails its check. The heavy checks draw their instances one by
+one and evaluate the independent route on stacks grouped by m, while the
+production functions they test still run once per instance; the replay is
+the instance that offering each deviation in turn would have picked.
 
 Reports are pure functions of (level, seed): running twice with the same
-arguments gives byte-identical text.
+arguments gives byte-identical text. Each result also carries the wall time
+of the check routine that produced it, which no render shows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +56,9 @@ class CheckResult:
     instances: int
     worst: float
     detail: str = ""
+    # wall time of the check routine that produced this result; results of
+    # one routine share it
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -92,11 +102,19 @@ def _result(name, n, worst, tol, detail="") -> CheckResult:
     return CheckResult(name, bool(worst <= tol), n, float(worst), detail)
 
 
+def _nanmax(*devs):
+    """max(devs), except that a NaN among them is the result, so it fails."""
+    for dev in devs:
+        if math.isnan(dev):
+            return dev
+    return max(devs)
+
+
 class _Worst:
     """The largest deviation offered so far and the replay of its instance.
 
-    Only a strictly larger deviation replaces the worst; the instance that
-    set it is serialized right then.
+    Only a strictly larger deviation, or the first NaN, replaces the worst;
+    the instance that set it is serialized right then.
     """
 
     def __init__(self):
@@ -104,12 +122,43 @@ class _Worst:
         self.detail = ""
 
     def offer(self, dev, **instance) -> None:
-        if dev > self.value:
+        if dev > self.value or (math.isnan(dev) and not math.isnan(self.value)):
             self.value = dev
             self.detail = _serialize(**instance)
 
+    def offer_stack(self, devs: np.ndarray, replay) -> None:
+        """Offer a 1-d array of deviations as if one by one, in order.
+
+        argmax finds the first NaN, or else the first maximum, which is the
+        entry that sequential offers keep; replay(i) gives its instance.
+        """
+        if devs.size:
+            i = int(np.argmax(devs))
+            self.offer(devs[i], **replay(i))
+
     def result(self, name, n, tol) -> CheckResult:
         return _result(name, n, self.value, tol, self.detail)
+
+
+def _random_instance(rng):
+    """One (settings, Z) draw: m in 2..5, a rank up to min(3, m), Gaussian Z."""
+    m = int(rng.integers(2, 6))
+    s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
+    return s, rng.standard_normal((m, m))
+
+
+def _stacks(instances):
+    """(indices, a, b, z) for each m among (settings, Z) instances.
+
+    a and b are (k, m, 3) and z (k, m, m), stacked in the order of indices.
+    """
+    groups = {}
+    for i, (s, _) in enumerate(instances):
+        groups.setdefault(s.m, []).append(i)
+    for idx in groups.values():
+        yield (idx, np.stack([instances[i][0].a for i in idx]),
+               np.stack([instances[i][0].b for i in idx]),
+               np.stack([instances[i][1] for i in idx]))
 
 
 def _check_support_oracles(rng, sizes):
@@ -131,7 +180,7 @@ def _check_support_oracles(rng, sizes):
             ):
                 value = geometry.support(model, s, z)
                 if model == SEP:
-                    lower_breach = max(lower_breach, reference - value)
+                    lower_breach = _nanmax(lower_breach, reference - value)
                 worst[model].offer(abs(value - reference), model=model, a=s.a, b=s.b,
                                    z=z, closed=value, oracle=reference)
     return [
@@ -291,8 +340,9 @@ def _check_kernel_identities(rng, sizes):
     n_recon = sizes["recon"]
     mats = rng.standard_normal((n_recon, 3, 3))
     u, sv, vt = np.linalg.svd(mats)
-    rebuilt = np.einsum("kij,kj,kjl->kil", u, sv, vt)
-    recon_dev = float(np.abs(rebuilt - mats).max())
+    recon_dev = float(np.abs(np.einsum("kij,kj,kjl->kil", u, sv, vt) - mats).max())
+    # free these stacks before the instances below are drawn and stacked
+    del mats, u, sv, vt
 
     n = sizes["identity"]
     n_pinv = max(1, n // 20)
@@ -305,7 +355,7 @@ def _check_kernel_identities(rng, sizes):
             basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :k]
             x = x @ basis @ basis.T
         p = pinv(x)
-        penrose_dev = max(
+        penrose_dev = _nanmax(
             penrose_dev,
             float(np.abs(x @ p @ x - x).max()),
             float(np.abs(p @ x @ p - p).max()),
@@ -319,17 +369,14 @@ def _check_kernel_identities(rng, sizes):
         a = rng.standard_normal((ma, 3))
         x = rng.standard_normal((3, 3))
         b = rng.standard_normal((mb, 3))
-        vec_dev = max(vec_dev, float(np.abs(
+        vec_dev = _nanmax(vec_dev, float(np.abs(
             (a @ x @ b.T).T.ravel() - np.kron(b, a) @ x.T.ravel()).max()))
 
     det_dev = 0.0
-    for _ in range(n):
-        m = int(rng.integers(2, 6))
-        s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
-        z = rng.standard_normal((m, m))
-        frame = s.a.T @ z @ s.b
-        det_dev = max(det_dev, abs(det3_intrinsic(s.a, s.b, z)
-                                   - float(np.linalg.det(frame))))
+    for _, a, b, z in _stacks([_random_instance(rng) for _ in range(n)]):
+        frames = np.swapaxes(a, 1, 2) @ z @ b
+        det_dev = _nanmax(det_dev, float(np.max(np.abs(
+            det3_intrinsic(a, b, z) - np.linalg.det(frames)))))
 
     return [
         _result("svd-reconstruction", n_recon, recon_dev, 1e-11),
@@ -356,10 +403,10 @@ def _check_asymmetric_norms(rng, sizes):
         x = rng.standard_normal((3, 3))
         lo, hi, tn = norm_minus(x), norm_plus(x), trace_norm(x)
         op = op_norm(x)
-        chain_dev = max(chain_dev, op - lo, op - hi, lo - tn, hi - tn,
+        chain_dev = _nanmax(chain_dev, op - lo, op - hi, lo - tn, hi - tn,
                         abs(norm_plus(-x) - lo), abs(norm_minus(-x) - hi))
         if float(np.linalg.det(x)) >= 0.0:
-            chain_dev = max(chain_dev, lo - hi)
+            chain_dev = _nanmax(chain_dev, lo - hi)
 
         ys = rng.standard_normal((50, 3, 3))
         numer = np.einsum("ij,kij->k", x, ys)
@@ -367,11 +414,11 @@ def _check_asymmetric_norms(rng, sizes):
         sampled = float((numer / denom).max())
         _, q = max_trace_over_rotations(x, "SO3")
         attained = float(np.sum(x * q)) / norm_minus(q)
-        dual_dev = max(dual_dev, sampled - hi, abs(attained - hi))
+        dual_dev = _nanmax(dual_dev, sampled - hi, abs(attained - hi))
 
         qs = np.stack([random_rotation(rng, "SO3") for _ in range(5)])
         mix = np.tensordot(rng.dirichlet(np.ones(5)), qs, axes=1)
-        hull_dev = max(hull_dev, norm_minus(mix) - 1.0)
+        hull_dev = _nanmax(hull_dev, norm_minus(mix) - 1.0)
 
     return [
         _result("asymmetric-norm-chain", n, chain_dev, _TOL_EXACT),
@@ -383,34 +430,48 @@ def _check_asymmetric_norms(rng, sizes):
 def _check_gram_equivalence(rng, sizes):
     """Supports depend on the settings only through their Gram matrices."""
     n = sizes["identity"]
+    instances = [_random_instance(rng) for _ in range(n)]
+    direct = np.array([[geometry.support(model, s, z) for model in geometry.MODELS]
+                       for s, z in instances])
+    gram = np.empty_like(direct)
+    for idx, a, b, z in _stacks(instances):
+        gram[idx] = oracles._gram_supports(a, b, z)
+    devs = (np.abs(direct - gram) / np.maximum(1.0, np.abs(direct))).ravel()
+
+    # The entry that offering each in turn would keep (see _Worst.offer_stack)
+    # is replayed through the one-instance route, which has to give the
+    # stacked value bit for bit.
+    i = int(np.argmax(devs))
+    k, col = divmod(i, len(geometry.MODELS))
+    s, z = instances[k]
+    model = geometry.MODELS[col]
+    replayed = oracles.gram_equivalent_support(s, z, model)
     worst = _Worst()
-    for _ in range(n):
-        m = int(rng.integers(2, 6))
-        s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
-        z = rng.standard_normal((m, m))
-        for model in geometry.MODELS:
-            direct = geometry.support(model, s, z)
-            gram = oracles.gram_equivalent_support(s, z, model)
-            worst.offer(abs(direct - gram) / max(1.0, abs(direct)), model=model,
-                        a=s.a, b=s.b, z=z, direct=direct, gram=gram)
-    return [worst.result("gram-equivalence", n, _TOL_EXACT)]
+    worst.offer(devs[i], model=model, a=s.a, b=s.b, z=z, direct=direct[k, col],
+                gram=replayed)
+    result = worst.result("gram-equivalence", n, _TOL_EXACT)
+    if replayed != gram[k, col]:
+        result.passed = False
+        result.detail = _serialize(model=model, a=s.a, b=s.b, z=z, gram=replayed,
+                                   stacked=gram[k, col])
+    return [result]
 
 
 def _check_bell_spectrum(rng, sizes):
     """Operator eigenvalues equal the odd signed sums of the special SVD."""
     n = sizes["identity"]
-    worst = _Worst()
     signs = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]])
-    for _ in range(n):
-        m = int(rng.integers(2, 6))
-        s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
-        z = rng.standard_normal((m, m))
-        frame = s.a.T @ z @ s.b
-        tilde = special_svd(frame).s
-        predicted = np.sort(signs @ tilde)
-        actual = np.linalg.eigvalsh(twoqubit.bell_operator(s, z))
-        worst.offer(float(np.abs(predicted - actual).max()) / max(1.0, abs(tilde).max()),
-                    a=s.a, b=s.b, z=z, predicted=predicted, actual=actual)
+    instances = [_random_instance(rng) for _ in range(n)]
+    tilde = np.array([special_svd(s.a.T @ z @ s.b).s for s, z in instances])
+    predicted = np.array([np.sort(signs @ t) for t in tilde])
+    actual = np.linalg.eigvalsh(np.array([twoqubit.bell_operator(s, z)
+                                          for s, z in instances]))
+    devs = (np.abs(predicted - actual).max(axis=1)
+            / np.maximum(1.0, np.abs(tilde).max(axis=1)))
+    worst = _Worst()
+    worst.offer_stack(devs, lambda i: dict(a=instances[i][0].a, b=instances[i][0].b,
+                                           z=instances[i][1], predicted=predicted[i],
+                                           actual=actual[i]))
     return [worst.result("bell-operator-spectrum", n, _TOL_EXACT)]
 
 
@@ -439,12 +500,12 @@ def _check_witness_mc(rng, sizes):
     z_star = geometry.optimizer_z(SEP, s, s.a @ q @ s.b.T)
     w_ent = detect.entanglement_witness(s, z_star)
     rho = twoqubit.max_entangled(q)
-    margin_dev = max(margin_dev,
-                     abs(float(np.trace(rho @ w_ent).real) - (1.0 - 3.0)))
+    margin_dev = _nanmax(margin_dev,
+                         abs(float(np.trace(rho @ w_ent).real) - (1.0 - 3.0)))
     z_star = geometry.optimizer_z(QM, s, np.eye(3))
     w_bqs = detect.bqs_witness(s, z_star)
-    margin_dev = max(margin_dev,
-                     abs(float(np.trace(twoqubit.rho_max() @ w_bqs).real) - (1.0 - 3.0)))
+    margin_dev = _nanmax(margin_dev,
+                         abs(float(np.trace(twoqubit.rho_max() @ w_bqs).real) - (1.0 - 3.0)))
 
     return [
         worst.result("witness-nonnegativity", n_states * n_z * 2, _TOL_EXACT),
@@ -471,7 +532,7 @@ def _check_radii(rng, sizes):
         for pair, want in zip((detect.QM_OVER_SEP, detect.MAX_OVER_QM), expected[name]):
             report = detect.containment_radius(s, pair)
             reached = geometry.gauge(report.pair[1], s, report.maximizer_c)
-            worst.offer(max(abs(report.radius - want), abs(reached.value - want)),
+            worst.offer(_nanmax(abs(report.radius - want), abs(reached.value - want)),
                         scenario=name, pair=pair, radius=report.radius)
 
     # Alignment matters below full rank: an aligned reflection reaches 2,
@@ -488,7 +549,7 @@ def _check_radii(rng, sizes):
     misaligned = geometry.gauge(SEP, s2, s2.a @ tilted @ s2.b.T)
     align_dev = abs(aligned.value - 2.0)
     align_ok = misaligned.value < 2.0 - 1e-3
-    result = _result("radii-constructions", 8, max(worst.value, align_dev), 1e-8,
+    result = _result("radii-constructions", 8, _nanmax(worst.value, align_dev), 1e-8,
                      worst.detail)
     if not align_ok:
         result.passed = False
@@ -505,9 +566,9 @@ def _check_ratio_scan(rng, sizes):
     for pair, want in ((detect.QM_OVER_SEP, 3.0), (detect.MAX_OVER_QM, 3.0)):
         got = oracles.ratio_scan(s, pair, cfg).value
         if got > want + 1e-9:
-            worst = max(worst, got - want)
+            worst = _nanmax(worst, got - want)
         else:
-            worst = max(worst, max(0.0, want - got - slack))
+            worst = _nanmax(worst, want - got - slack, 0.0)
     return [_result("ratio-scan-approach", 2 * sizes["scan"], worst, 0.0)]
 
 
@@ -561,9 +622,9 @@ def _check_table1(rng, sizes):
         for got_v, want_v in zip(rows[method], want):
             if want_v is None:
                 if got_v is not None:
-                    worst = max(worst, 1.0)
+                    worst = _nanmax(worst, 1.0)
             else:
-                worst = max(worst, abs(got_v - want_v))
+                worst = _nanmax(worst, abs(got_v - want_v))
     return [_result("table1-anchors", 8, worst, 1e-4)]
 
 
@@ -580,14 +641,14 @@ def _check_symmetry(rng, sizes):
             plus = geometry.gauge(model, s, c)
             minus = geometry.gauge(model, s, -c)
             if plus.finite != minus.finite:
-                worst = max(worst, 1.0)
+                worst = _nanmax(worst, 1.0)
             elif plus.finite:
-                worst = max(worst, abs(plus.value - minus.value))
+                worst = _nanmax(worst, abs(plus.value - minus.value))
     s3 = detect.pauli_settings()
     lopsided = geometry.gauge(QM, s3, np.eye(3)).value
     mirrored = geometry.gauge(QM, s3, -np.eye(3)).value
     if abs(lopsided - 3.0) > 1e-9 or abs(mirrored - 1.0) > 1e-9:
-        worst = max(worst, abs(lopsided - 3.0), abs(mirrored - 1.0))
+        worst = _nanmax(worst, abs(lopsided - 3.0), abs(mirrored - 1.0))
     return [_result("gauge-symmetry", 2 * n + 2, worst, _TOL_EXACT)]
 
 
@@ -635,9 +696,9 @@ def _check_pullback(rng, sizes):
     w, v = np.linalg.eigh(op)
     top = np.outer(v[:, -1], v[:, -1].conj())
     attained = float(np.trace(top @ op).real)
-    overshoot = max(float(values.max()) - phi, attained - phi)
+    overshoot = _nanmax(float(values.max()) - phi, attained - phi)
     gap = phi - attained
-    return [_result("support-state-pullback", n + 1, max(overshoot, gap), _TOL_EXACT)]
+    return [_result("support-state-pullback", n + 1, _nanmax(overshoot, gap), _TOL_EXACT)]
 
 
 def _check_rigidity(rng, sizes):
@@ -660,7 +721,7 @@ def _check_rigidity(rng, sizes):
                 twoqubit.PauliForm(1.0, ra, rb, q), restarts=16,
                 seed=int(rng.integers(2**31)))
             # the minimum must dip at least as low as the slice bound says
-            dev = max(0.0, value + slice_bound)
+            dev = _nanmax(0.0, value + slice_bound)
         else:
             value, _, _ = twoqubit.block_positivity_minimum(
                 twoqubit.PauliForm(1.0, np.zeros(3), np.zeros(3), q), restarts=16,
@@ -711,7 +772,7 @@ def _check_scenario(s: MeasurementSettings, seed: int):
     worst = 0.0
     for _ in range(20):
         z = rng.standard_normal((s.m, s.m))
-        worst = max(
+        worst = _nanmax(
             worst,
             abs(geometry.support(SEP, s, z) - oracles.support_sep_oracle(s, z, cfg)),
             abs(geometry.support(QM, s, z) - oracles.support_qm_oracle(s, z)),
@@ -742,6 +803,15 @@ _CHECKS = [
 ]
 
 
+def _timed(check, *args) -> list[CheckResult]:
+    start = time.perf_counter()
+    results = check(*args)
+    seconds = time.perf_counter() - start
+    for r in results:
+        r.seconds = seconds
+    return results
+
+
 def run_battery(level: str = "quick", seed: int = 0,
                 scenario: MeasurementSettings | None = None) -> VerifyReport:
     """Run every check at the chosen level and collect a deterministic report."""
@@ -751,7 +821,7 @@ def run_battery(level: str = "quick", seed: int = 0,
     streams = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     results = []
     for check, stream in zip(_CHECKS, streams):
-        results.extend(check(np.random.default_rng(stream), sizes))
+        results.extend(_timed(check, np.random.default_rng(stream), sizes))
     if scenario is not None:
-        results.extend(_check_scenario(scenario, seed))
+        results.extend(_timed(_check_scenario, scenario, seed))
     return VerifyReport(level=level, seed=seed, version=__version__, results=results)

@@ -300,6 +300,26 @@ def test_verify_json_keys(capsys):
                for r in payload["results"])
 
 
+def test_verify_timings_add_seconds_to_json_only(capsys, monkeypatch):
+    report = selfcheck.run_battery("quick", 2)
+    monkeypatch.setattr(cli.selfcheck, "run_battery", lambda **kwargs: report)
+    outputs = {}
+    for fmt in ("json", "csv", "text"):
+        for flag in ((), ("--timings",)):
+            rc, outputs[fmt, flag], _ = run(capsys, "verify", "--format", fmt, *flag)
+            assert rc == 0
+    assert outputs["csv", ()] == outputs["csv", ("--timings",)] == report.render()
+    assert outputs["text", ()] == outputs["text", ("--timings",)] == report.render()
+    plain = json.loads(outputs["json", ()])
+    timed = json.loads(outputs["json", ("--timings",)])
+    seconds = {r["name"]: r.pop("seconds") for r in timed["results"]}
+    assert timed == plain
+    assert all(s > 0.0 for s in seconds.values())
+    # one check routine reports these four results and times them once
+    assert (seconds["svd-reconstruction"] == seconds["pseudoinverse-laws"]
+            == seconds["intrinsic-determinant"])
+
+
 def test_verify_csv_prints_text_report(capsys):
     # documented: the battery has no table, so csv prints the text report
     rc_csv, out_csv, _ = run(capsys, "verify", "--format", "csv", "--seed", "5")

@@ -116,3 +116,14 @@ def test_deleted_and_unpaired_lines_keep_their_own_numbers():
     assert numeric == {}
     assert [(number, o, n) for number, _, o, n in text] == [
         (6, old[5], None), (10, old[10], "-- check c7 changed"), (12, old[11], None)]
+
+
+def test_moved_line_pairs_by_text_next_to_an_inserted_line():
+    """Inside a replaced block, lines pair by their text without numbers:
+    the moved value is a numeric line and the inserted line a text line."""
+    old = ["== verify-quick seed=0", "-- check c " + (1.0).hex()]
+    moved = math.nextafter(1.0, 2.0)
+    new = ["== verify-quick seed=0", "-- check new " + (0.0).hex(), "-- check c " + moved.hex()]
+    text, numeric = compare_dumps.compare(old, new)
+    assert text == [(2, "verify-quick", None, "-- check new " + (0.0).hex())]
+    assert numeric == {"verify-quick": (1, pytest.approx(moved - 1.0), 3)}

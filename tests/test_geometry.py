@@ -9,7 +9,7 @@ from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
                                extreme_point, gauge, gauge_m2_closed_form,
                                membership, optimizer_z, planar_settings,
                                support, support_m2_closed_form)
-from corrsets.oracles import gram_equivalent_support
+from corrsets.oracles import _gram_supports, gram_equivalent_support, random_settings
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -334,6 +334,42 @@ def test_gram_equivalent_support_agrees():
             direct = support(model, s, z)
             viagram = gram_equivalent_support(s, z, model)
             assert abs(direct - viagram) <= 1e-8 * max(1.0, direct)
+
+
+def test_stacked_gram_supports_are_the_single_instance_route():
+    rng = np.random.default_rng(71)
+    for m in range(1, 6):
+        for rank in range(1, min(3, m) + 1):
+            ss = [random_settings(rng, m, rank) for _ in range(25)]
+            zs = rng.standard_normal((25, m, m))
+            stacked = _gram_supports(np.stack([s.a for s in ss]), np.stack([s.b for s in ss]), zs)
+            single = [[gram_equivalent_support(s, z, model) for model in MODELS]
+                      for s, z in zip(ss, zs)]
+            assert stacked.tolist() == single
+
+
+def test_gram_equivalent_support_rejects_bad_input():
+    s = pauli_settings()
+    with pytest.raises(ValueError):
+        gram_equivalent_support(s, np.eye(3), "nope")
+    with pytest.raises(ValueError):
+        gram_equivalent_support(s, np.eye(2), QM)
+    with pytest.raises(ValueError):
+        gram_equivalent_support(s, np.diag([1.0, np.inf, 1.0]), QM)
+
+
+def test_gram_angles_match_the_cross_product_route():
+    rng = np.random.default_rng(72)
+    cases = [planar_settings(alpha, beta, rng) for alpha, beta in
+             ((0.8, 1.1), (1e-7, np.pi - 1e-7), (np.pi / 2, 0.3))]
+    cases += [random_settings(rng, 2, rank) for rank in (1, 2) for _ in range(30)]
+    for s in cases:
+        expected = (float(s.a[0] @ s.a[1]), float(np.linalg.norm(np.cross(s.a[0], s.a[1]))),
+                    float(s.b[0] @ s.b[1]), float(np.linalg.norm(np.cross(s.b[0], s.b[1]))))
+        assert s.gram_angles == expected
+        assert s.gram_angles is s.gram_angles
+    with pytest.raises(ValueError, match="m = 2"):
+        pauli_settings().gram_angles
 
 
 def test_rho_max_sits_at_three():

@@ -221,6 +221,28 @@ def test_det3_intrinsic_fixed_path_matches_searched_path():
             assert det3_intrinsic(a, b, z) == float(searched) / 6.0
 
 
+def test_det3_intrinsic_stack_is_bit_equal_to_single_calls():
+    rng = np.random.default_rng(34)
+    for m in range(2, 6):
+        ss = [random_settings(rng, m, int(rng.integers(1, min(3, m) + 1))) for _ in range(60)]
+        zs = rng.standard_normal((60, m, m))
+        stacked = det3_intrinsic(np.stack([s.a for s in ss]), np.stack([s.b for s in ss]), zs)
+        assert stacked.shape == (60,)
+        single = [det3_intrinsic(s.a, s.b, z) for s, z in zip(ss, zs)]
+        assert stacked.tolist() == single
+        assert all(type(v) is float for v in single)
+
+
+def test_det3_intrinsic_rejects_bad_shapes_and_values():
+    eye = np.eye(3)
+    for a, b, z in ((eye[:, :2], eye[:, :2], eye), (eye, eye, np.eye(2)),
+                    (eye, eye[None], eye), (eye[0], eye[0], eye)):
+        with pytest.raises(ValueError, match="shapes"):
+            det3_intrinsic(a, b, z)
+    with pytest.raises(ValueError, match="z has non-finite"):
+        det3_intrinsic(eye, eye, np.diag([1.0, np.nan, 1.0]))
+
+
 def test_det_sign_dead_zone():
     assert signed_svals(np.diag([1.0, 1.0, 0.0]))[1] == 0.0
     assert signed_svals(np.eye(3))[1] == 1.0

@@ -4,12 +4,16 @@
 
 The dumps are aligned with difflib.SequenceMatcher, so a line that one
 dump inserts or deletes shifts nothing after it. Lines in equal blocks
-pass. The lines of a replaced block are paired in order; a pair that is
-equal once its `float.hex` numbers are taken out is a numeric line, whose
-deviation is the largest relative difference |a - b| / max(|a|, |b|) over
-its numbers, and the report gives the largest deviation and the number of
-numeric lines per section. Every other pair, and every line that only one
-dump has, is a text line and is printed in full. Line numbers are those of
+pass. Inside a replaced block the lines are aligned a second time, by
+their text with the `float.hex` numbers taken out, so a line whose numbers
+moved pairs with its counterpart even when a line is inserted next to it;
+the lines this leaves unmatched are paired in order. A pair of equal
+lines passes (the first alignment can leave one in a replaced block). A pair that is equal
+once its numbers are taken out is a numeric line, whose deviation is the
+largest relative difference |a - b| / max(|a|, |b|) over its numbers, and
+the report gives the largest deviation and the number of numeric lines per
+section. Every other pair, and every line that only one dump has, is a
+text line and is printed in full. Line numbers are those of
 the new dump, and of the old dump for a line that only the old dump has. A
 section is the first word of the last header line ("== reports ...",
 "== pauli ...") at or before the line. The exit code is 0 when the dumps
@@ -34,6 +38,21 @@ _HEX = re.compile(r"(?<![\w.])(-?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+|inf|nan)
 def _split(line: str):
     parts = _HEX.split(line)
     return parts[0::2], [float.fromhex(v) for v in parts[1::2]]
+
+
+def _text(line: str) -> tuple:
+    return tuple(_HEX.split(line)[0::2])
+
+
+def _pairs(old, new):
+    """(i, j) pairs of a replaced block: equal text first, then by position.
+
+    i or j is None for a line that only one side has.
+    """
+    matcher = difflib.SequenceMatcher(None, [_text(x) for x in old], [_text(y) for y in new],
+                                      autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        yield from itertools.zip_longest(range(i1, i2), range(j1, j2))
 
 
 def relative_deviation(a: float, b: float) -> float:
@@ -66,9 +85,13 @@ def compare(old_lines, new_lines):
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
         if tag == "equal":
             continue
-        for i, j in itertools.zip_longest(range(i1, i2), range(j1, j2)):
+        for i, j in _pairs(old_lines[i1:i2], new_lines[j1:j2]):
+            i = None if i is None else i1 + i
+            j = None if j is None else j1 + j
             old = None if i is None else old_lines[i]
             new = None if j is None else new_lines[j]
+            if old == new:
+                continue
             number, section = (i + 1, old_sections[i]) if j is None else (j + 1, new_sections[j])
             if old is not None and new is not None:
                 old_rest, old_values = _split(old)
