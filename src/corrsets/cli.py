@@ -25,9 +25,9 @@ the same at every seed.
 frame or core behind the value. Sign 0 means it is singular within rounding
 (s3 <= 8 eps s1, as at every rank r < 3), so it has no orientation.
 
-`verify --timings` adds a "seconds" field to each json result: the wall time
-of the check routine that produced it (results of one routine share it).
-Text and csv output ignore the flag.
+`verify --format json` writes a non-finite worst deviation (a NaN, which
+fails its check) as null, so the document stays strict JSON; the text report
+prints it as nan.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input errors.
 """
@@ -298,11 +298,9 @@ def cmd_verify(args) -> int:
         "level": report.level,
         "ok": report.ok,
         "results": [{"name": r.name, "passed": r.passed, "instances": r.instances,
-                     "worst": r.worst, "detail": r.detail} for r in report.results],
+                     "worst": r.worst if np.isfinite(r.worst) else None,
+                     "detail": r.detail} for r in report.results],
     }
-    if args.timings:
-        for entry, r in zip(payload["results"], report.results):
-            entry["seconds"] = r.seconds
     _emit(args, payload, None, report.render().rstrip("\n").split("\n"))
     return 0 if report.ok else 1
 
@@ -405,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the verification battery")
     _add_scenario_flags(sp, required=False)
     sp.add_argument("--level", choices=selfcheck.LEVELS, default="quick")
-    sp.add_argument("--timings", action="store_true",
-                    help="add each result's check wall time in seconds to --format json")
 
     sub.add_parser("table1", parents=[common], help="critical-noise table")
 

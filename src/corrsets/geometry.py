@@ -135,27 +135,6 @@ class MeasurementSettings:
         """Orthogonal 3x3 basis whose leading columns span the row space of B."""
         return _read_only(np.linalg.svd(self.b, full_matrices=True)[2].T)
 
-    @cached_property
-    def gram_angles(self) -> tuple[float, float, float, float]:
-        """Cosine and sine of each party's Gram angle at m = 2, (ca, sa, cb, sb).
-
-        The sine is the length of the cross product of the two rows, not a
-        function of the cosine: for nearly collinear rows the latter only
-        knows the sine to absolute epsilon, which costs ~1e-10 of relative
-        accuracy exactly where the closed forms divide by it.
-        """
-        if self.m != 2:
-            raise ValueError("closed forms in the Gram angles need m = 2")
-        return (float(self.a[0] @ self.a[1]), _cross_norm(self.a),
-                float(self.b[0] @ self.b[1]), _cross_norm(self.b))
-
-
-def _cross_norm(rows: np.ndarray) -> float:
-    """|rows[0] x rows[1]|, with the products and differences of np.cross."""
-    (x0, x1, x2), (y0, y1, y2) = rows.tolist()
-    return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                                          x0 * y1 - x1 * y0])))
-
 
 def _numerical_rank(x) -> int:
     # Strict inequality so values sitting exactly at the cutoff resolve
@@ -233,6 +212,27 @@ def support(model: str, s: MeasurementSettings, z) -> float:
     return trace_norm(m)
 
 
+def _cos_sin_m2(s: MeasurementSettings):
+    """Cosine and sine of each party's Gram angle, (ca, sa, cb, sb).
+
+    The sine comes from the cross product, not from arccos of the dot
+    product: for nearly collinear rows the latter only knows the sine to
+    absolute epsilon through the cosine, which costs ~1e-10 of relative
+    accuracy exactly where the closed forms divide by it.
+    """
+    if s.m != 2:
+        raise ValueError("closed forms in the Gram angles need m = 2")
+    return (float(s.a[0] @ s.a[1]), _cross_norm(s.a),
+            float(s.b[0] @ s.b[1]), _cross_norm(s.b))
+
+
+def _cross_norm(rows: np.ndarray) -> float:
+    """|rows[0] x rows[1]|, with the products and differences of np.cross."""
+    (x0, x1, x2), (y0, y1, y2) = rows.tolist()
+    return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
+                                          x0 * y1 - x1 * y0])))
+
+
 def _gram_2x2(cos_theta: float) -> np.ndarray:
     return np.array([[1.0, cos_theta], [cos_theta, 1.0]])
 
@@ -251,7 +251,7 @@ def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
     """
     if model not in (SEP, QM):
         raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = s.gram_angles
+    ca, sa, cb, sb = _cos_sin_m2(s)
     z = np.asarray(z, dtype=float)
     if z.shape != (2, 2):
         raise ValueError(f"coefficient matrix must be 2x2, got {z.shape}")
@@ -342,7 +342,7 @@ def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
     """
     if model not in (SEP, QM):
         raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = s.gram_angles
+    ca, sa, cb, sb = _cos_sin_m2(s)
     if sa * sb <= DEGENERATE_ANGLE_TOL:
         raise ValueError("settings are too close to collinear for the closed form")
     c = np.asarray(c, dtype=float)

@@ -379,8 +379,7 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
             if norms.min() < 1e-6:
                 continue
             rows /= norms[:, None]
-            # the count np.linalg.matrix_rank(rows, tol=1e-8) makes
-            if np.sum(np.linalg.svd(rows, compute_uv=False) > 1e-8) == rank:
+            if np.linalg.matrix_rank(rows, tol=1e-8) == rank:
                 return rows
 
     return MeasurementSettings(one_party(), one_party())

@@ -300,24 +300,23 @@ def test_verify_json_keys(capsys):
                for r in payload["results"])
 
 
-def test_verify_timings_add_seconds_to_json_only(capsys, monkeypatch):
-    report = selfcheck.run_battery("quick", 2)
+def test_verify_json_writes_a_nan_worst_as_null(capsys, monkeypatch):
+    # a NaN deviation fails its check; the json document must stay strict JSON
+    failed = selfcheck._result("gram-equivalence", 3, float("nan"), 1e-9, "{}")
+    report = selfcheck.VerifyReport("quick", 0, "v", [failed])
     monkeypatch.setattr(cli.selfcheck, "run_battery", lambda **kwargs: report)
-    outputs = {}
-    for fmt in ("json", "csv", "text"):
-        for flag in ((), ("--timings",)):
-            rc, outputs[fmt, flag], _ = run(capsys, "verify", "--format", fmt, *flag)
-            assert rc == 0
-    assert outputs["csv", ()] == outputs["csv", ("--timings",)] == report.render()
-    assert outputs["text", ()] == outputs["text", ("--timings",)] == report.render()
-    plain = json.loads(outputs["json", ()])
-    timed = json.loads(outputs["json", ("--timings",)])
-    seconds = {r["name"]: r.pop("seconds") for r in timed["results"]}
-    assert timed == plain
-    assert all(s > 0.0 for s in seconds.values())
-    # one check routine reports these four results and times them once
-    assert (seconds["svd-reconstruction"] == seconds["pseudoinverse-laws"]
-            == seconds["intrinsic-determinant"])
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    rc, out, _ = run(capsys, "verify", "--format", "json")
+    assert rc == 1
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["ok"] is False
+    assert payload["results"] == [{"name": "gram-equivalence", "passed": False,
+                                   "instances": 3, "worst": None, "detail": "{}"}]
+    rc, out, _ = run(capsys, "verify")
+    assert rc == 1 and "FAIL gram-equivalence" in out and "worst=nan" in out
 
 
 def test_verify_csv_prints_text_report(capsys):

@@ -8,7 +8,7 @@ from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
                                MeasurementSettings, correlation_matrix,
                                extreme_point, gauge, gauge_m2_closed_form,
                                membership, optimizer_z, planar_settings,
-                               support, support_m2_closed_form)
+                               support, support_m2_closed_form, _cos_sin_m2)
 from corrsets.oracles import _gram_supports, gram_equivalent_support, random_settings
 from corrsets.twoqubit import rho_max, werner_state
 
@@ -366,10 +366,9 @@ def test_gram_angles_match_the_cross_product_route():
     for s in cases:
         expected = (float(s.a[0] @ s.a[1]), float(np.linalg.norm(np.cross(s.a[0], s.a[1]))),
                     float(s.b[0] @ s.b[1]), float(np.linalg.norm(np.cross(s.b[0], s.b[1]))))
-        assert s.gram_angles == expected
-        assert s.gram_angles is s.gram_angles
+        assert _cos_sin_m2(s) == expected
     with pytest.raises(ValueError, match="m = 2"):
-        pauli_settings().gram_angles
+        _cos_sin_m2(pauli_settings())
 
 
 def test_rho_max_sits_at_three():

@@ -80,10 +80,14 @@ def test_nan_gram_support_fails_gram_equivalence(monkeypatch):
 
 
 def test_scalar_replay_must_match_the_stack(monkeypatch):
+    real = oracles.gram_equivalent_support
+    monkeypatch.setattr(oracles, "gram_equivalent_support",
+                        lambda s, z, model: real(s, z, model) + 1e-3)
+    result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
+    assert not result.passed and result.worst > 1e-9
     monkeypatch.setattr(oracles, "gram_equivalent_support", lambda s, z, model: math.nan)
     result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
-    assert not result.passed
-    assert '"stacked"' in result.detail
+    assert not result.passed and math.isnan(result.worst)
 
 
 def test_gram_equivalence_replays_through_the_scalar_route(monkeypatch):
