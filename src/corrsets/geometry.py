@@ -14,13 +14,13 @@ This module computes, for each of the three models:
 * the gauge function of the body at a correlation matrix C, the smallest
   t with C/t inside the body, finite exactly when C is compatible with the
   ranges of A and B and then a matching norm of W = A^+ C (B.T)^+;
-* closed forms specific to m = 2 written in the Gram angles alpha, beta;
 * the coefficient matrix attaining the gauge value in the duality
   sup_Z Tr[Z.T C] / support(Z);
 * extreme points and membership tests.
 
-The Gram-picture support, a second route to the same values, lives with the
-other verification routes in oracles.
+The closed forms for m = 2 in the Gram angles and the Gram-picture support,
+second routes to the same values, live with the other verification routes
+in oracles.
 
 Everything is deterministic and allocation-light; matrices stay small.
 """
@@ -52,10 +52,9 @@ MODELS = (SEP, QM, MAX)
 
 UNIT_ROW_TOL = 1e-9
 RANGE_TOL = 1e-8
-DEGENERATE_ANGLE_TOL = 1e-9
 # Squared Frobenius norms of C (or Z) for which the squares in that norm, in
-# the range deficits and in the two-setting closed form neither overflow nor
-# underflow.
+# the range deficits and in the two-setting closed form of oracles neither
+# overflow nor underflow.
 _NORM_SQ_RANGE = (1e-200, 1e200)
 
 
@@ -212,68 +211,6 @@ def support(model: str, s: MeasurementSettings, z) -> float:
     return trace_norm(m)
 
 
-def _cos_sin_m2(s: MeasurementSettings):
-    """Cosine and sine of each party's Gram angle, (ca, sa, cb, sb).
-
-    The sine comes from the cross product, not from arccos of the dot
-    product: for nearly collinear rows the latter only knows the sine to
-    absolute epsilon through the cosine, which costs ~1e-10 of relative
-    accuracy exactly where the closed forms divide by it.
-    """
-    if s.m != 2:
-        raise ValueError("closed forms in the Gram angles need m = 2")
-    return (float(s.a[0] @ s.a[1]), _cross_norm(s.a),
-            float(s.b[0] @ s.b[1]), _cross_norm(s.b))
-
-
-def _cross_norm(rows: np.ndarray) -> float:
-    """|rows[0] x rows[1]|, with the products and differences of np.cross."""
-    (x0, x1, x2), (y0, y1, y2) = rows.tolist()
-    return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                                          x0 * y1 - x1 * y0])))
-
-
-def _gram_2x2(cos_theta: float) -> np.ndarray:
-    return np.array([[1.0, cos_theta], [cos_theta, 1.0]])
-
-
-def _skew_2x2(cos_theta: float, sin_theta: float) -> np.ndarray:
-    e = complex(cos_theta, sin_theta)
-    return np.array([[e.conjugate(), 1.0], [1.0, e]], dtype=complex)
-
-
-def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
-    """Two-setting support function straight from the Gram angles.
-
-    Avoids the SVD entirely: for two settings per side the support function
-    reduces to scalar traces against the 2x2 Gram matrix of each party and,
-    for the separable body, one complex phase matrix.
-    """
-    if model not in (SEP, QM):
-        raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = _cos_sin_m2(s)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2, 2):
-        raise ValueError(f"coefficient matrix must be 2x2, got {z.shape}")
-    norm_sq = _square_sum(z)
-    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1] and z.any():
-        # The squares below overflow or underflow at this scale. The support
-        # is positively homogeneous, so evaluate it on Z with its largest
-        # entry brought into [0.5, 1) and scale back; both scalings are
-        # exact, and a support beyond the float range comes back as inf,
-        # as it does from support.
-        e = math.frexp(np.max(np.abs(z)))[1]
-        return float(np.ldexp(support_m2_closed_form(model, s, np.ldexp(z, -e)), e))
-    ga = _gram_2x2(ca)
-    gb = _gram_2x2(cb)
-    quad = float(np.trace(ga @ z @ gb @ z.T))
-    if model == SEP:
-        cross = abs(complex(np.trace(ga @ z @ _skew_2x2(cb, sb) @ z.T)))
-        return float(np.sqrt(max(0.0, (quad + cross) / 2.0)))
-    det_term = 2.0 * abs(float(np.linalg.det(z))) * sa * sb
-    return float(np.sqrt(max(0.0, quad + det_term)))
-
-
 def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(c - projector @ c))
 
@@ -331,36 +268,6 @@ def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     if s.r == 3:
         return GaugeValue(True, norm_plus(w))
     return GaugeValue(True, op_norm(w))
-
-
-def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
-    """Two-setting gauge function from the Gram angles.
-
-    Requires both angle sines bounded away from zero; with collinear
-    settings the body flattens out and the general path with its range
-    test is the right tool.
-    """
-    if model not in (SEP, QM):
-        raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = _cos_sin_m2(s)
-    if sa * sb <= DEGENERATE_ANGLE_TOL:
-        raise ValueError("settings are too close to collinear for the closed form")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (2, 2):
-        raise ValueError(f"correlation matrix must be 2x2, got {c.shape}")
-    # The phase matrices are rank one, L_theta = u u^dag / sin^2(theta) with
-    # u = (1, -exp(-i theta)), so each quadratic trace collapses to the
-    # squared modulus of a single scalar. Evaluating those scalars first and
-    # dividing by the sines last keeps the cancellation at the scale of the
-    # entries of C instead of 1/sin^2, which is what makes nearly collinear
-    # settings come out to full precision.
-    ua = np.array([1.0, -complex(ca, sa)])
-    ub = np.array([1.0, -complex(cb, sb)])
-    w_plus = abs(complex(ua @ c @ ub))
-    w_minus = abs(complex(ua @ c @ ub.conjugate()))
-    if model == SEP:
-        return max(w_plus, w_minus) / (sa * sb)
-    return 0.5 * (w_plus + w_minus) / (sa * sb)
 
 
 def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:

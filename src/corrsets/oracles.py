@@ -5,20 +5,23 @@ the tests run. Every formula in geometry has a second route here that
 shares no code with it: product-state grids for the separable support,
 eigensolves of the measurement operator for the quantum and maximal
 supports, the Gram-picture support with its basis-free determinant
-expansion, sampled dual ratios for the gauges, and a Frank-Wolfe projection
-for hull membership. The optimization-based routes are monotone lower
-bounds, so they can only fail in one direction. The kernels the routes and
-checks need (the rotation-factored SVD, the Procrustes maximizer over
-rotation components, the intrinsic determinant) and the random settings and
-state samplers live here as well. The intrinsic determinant and the
-Gram-picture supports also take (k, ...) stacks, so the battery draws its
-instances one by one and evaluates these routes once per stack. np.einsum
-runs its path search (einsum_path) on every call, even when given a fixed
-path, so stacking is what amortizes it: once per call over the whole stack.
+expansion, the m = 2 closed forms in the Gram angles alpha, beta for the
+separable and quantum supports and gauges, sampled dual ratios for the
+gauges, and a Frank-Wolfe projection for hull membership. The
+optimization-based routes are monotone lower bounds, so they can only fail
+in one direction. The kernels the routes and checks need (the
+rotation-factored SVD, the Procrustes maximizer over rotation components,
+the intrinsic determinant) and the random settings and state samplers live
+here as well. The intrinsic determinant and the Gram-picture supports take
+one instance or a (k, ...) stack, so the battery draws its instances one by
+one and evaluates these routes once per stack. np.einsum runs its path
+search (einsum_path) on every call, even when given a fixed path, so
+stacking is what amortizes it: once per call over the whole stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
-from .geometry import MAX, QM, SEP, MeasurementSettings
+from .geometry import _NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _square_sum
 from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation, signed_svals
 from .twoqubit import qubit_state
 
@@ -51,6 +54,8 @@ DEFAULT_CONFIG = OracleConfig()
 _FW_MAX_ITERS = 500
 _REFINE_SWEEPS = 150
 _MAX_PRODUCT_TERMS = 16
+
+DEGENERATE_ANGLE_TOL = 1e-9
 
 # Levi-Civita symbol on three indices.
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -127,6 +132,21 @@ def max_trace_over_rotations(x, component: str = "SO3"):
     return value, q
 
 
+def _stack_operands(a, b, z):
+    """a, b, z as float arrays of shapes (..., m, 3), (..., m, 3), (..., m, m).
+
+    ValueError on any other shapes or on a non-finite entry.
+    """
+    a, b, z = (np.asarray(x, dtype=float) for x in (a, b, z))
+    m = a.shape[-2] if a.ndim >= 2 else -1
+    if a.shape[-1:] != (3,) or b.shape != a.shape or z.shape != a.shape[:-1] + (m,):
+        raise ValueError("shapes must be (..., m, 3), (..., m, 3) and (..., m, m)")
+    for name, x in (("a", a), ("b", b), ("z", z)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} has non-finite entries")
+    return a, b, z
+
+
 def det3_intrinsic(a, b, z):
     """det(a.T @ z @ b) from row triples, without forming the product.
 
@@ -138,13 +158,7 @@ def det3_intrinsic(a, b, z):
     array of shape (...), each entry bit-equal to its single-instance
     value; one instance gives a float.
     """
-    a, b, z = (np.asarray(x, dtype=float) for x in (a, b, z))
-    m = a.shape[-2] if a.ndim >= 2 else -1
-    if a.shape[-1:] != (3,) or b.shape != a.shape or z.shape != a.shape[:-1] + (m,):
-        raise ValueError("shapes must be (..., m, 3), (..., m, 3) and (..., m, m)")
-    for name, x in (("a", a), ("b", b), ("z", z)):
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{name} has non-finite entries")
+    a, b, z = _stack_operands(a, b, z)
     ta = np.einsum("pqr,...ip,...jq,...kr->...ijk", LEVI_CIVITA, a, a, a)
     tb = np.einsum("pqr,...lp,...mq,...nr->...lmn", LEVI_CIVITA, b, b, b)
     total = np.einsum("...ijk,...il,...jm,...kn,...lmn->...", ta, z, z, z, tb,
@@ -210,13 +224,19 @@ def _psd_sqrt(g: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _gram_supports(a, b, z) -> np.ndarray:
-    """Gram-picture supports of a stack: (k, 3), one column per model in MODELS.
+def gram_equivalent_support(a, b, z) -> np.ndarray:
+    """Supports in the Gram picture, one column per model in MODELS.
 
-    a, b have shape (k, m, 3) and z (k, m, m). Each party's Gram square root
-    is taken once per instance, and one SVD and one intrinsic determinant
-    serve all three models.
+    Works on G_A^(1/2) Z G_B^(1/2), whose nonzero singular values match
+    those of A.T Z B, and recovers the orientation sign for the quantum
+    model from the basis-free determinant expansion. Agreement with
+    ``support`` witnesses that the bodies depend on the settings only
+    through their Gram data. Leading axes are a stack, as in det3_intrinsic:
+    a, b of shape (..., m, 3) and z of shape (..., m, m) give (..., 3). Each
+    party's Gram square root is taken once per instance, and one SVD and one
+    intrinsic determinant serve all three models.
     """
+    a, b, z = _stack_operands(a, b, z)
     mm = _psd_sqrt(a @ np.swapaxes(a, -1, -2)) @ z @ _psd_sqrt(b @ np.swapaxes(b, -1, -2))
     sv = np.linalg.svd(mm, compute_uv=False)
     s3 = np.zeros(sv.shape[:-1] + (3,))
@@ -226,20 +246,96 @@ def _gram_supports(a, b, z) -> np.ndarray:
                      sv.sum(axis=-1)], axis=-1)
 
 
-def gram_equivalent_support(s: MeasurementSettings, z, model: str) -> float:
-    """Support function evaluated in the Gram picture.
+def _cos_sin_m2(s: MeasurementSettings):
+    """Cosine and sine of each party's Gram angle, (ca, sa, cb, sb).
 
-    Works on G_A^(1/2) Z G_B^(1/2), whose nonzero singular values match
-    those of A.T Z B, and recovers the orientation sign for the quantum
-    model from the basis-free determinant expansion. Agreement with
-    ``support`` witnesses that the bodies depend on the settings only
-    through their Gram data. One instance of _gram_supports.
+    The sine comes from the cross product, not from arccos of the dot
+    product: for nearly collinear rows the latter only knows the sine to
+    absolute epsilon through the cosine, which costs ~1e-10 of relative
+    accuracy exactly where the closed forms divide by it.
     """
-    geometry._check_model(model)
-    z = _as_finite_matrix(z, "z")
-    if z.shape != (s.m, s.m):
-        raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
-    return float(_gram_supports(s.a[None], s.b[None], z[None])[0, geometry.MODELS.index(model)])
+    if s.m != 2:
+        raise ValueError("closed forms in the Gram angles need m = 2")
+    return (float(s.a[0] @ s.a[1]), _cross_norm(s.a),
+            float(s.b[0] @ s.b[1]), _cross_norm(s.b))
+
+
+def _cross_norm(rows: np.ndarray) -> float:
+    """|rows[0] x rows[1]|, with the products and differences of np.cross."""
+    (x0, x1, x2), (y0, y1, y2) = rows.tolist()
+    return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
+                                          x0 * y1 - x1 * y0])))
+
+
+def _gram_2x2(cos_theta: float) -> np.ndarray:
+    return np.array([[1.0, cos_theta], [cos_theta, 1.0]])
+
+
+def _skew_2x2(cos_theta: float, sin_theta: float) -> np.ndarray:
+    e = complex(cos_theta, sin_theta)
+    return np.array([[e.conjugate(), 1.0], [1.0, e]], dtype=complex)
+
+
+def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
+    """Two-setting support function straight from the Gram angles.
+
+    Avoids the SVD entirely: for two settings per side the support function
+    reduces to scalar traces against the 2x2 Gram matrix of each party and,
+    for the separable body, one complex phase matrix.
+    """
+    if model not in (SEP, QM):
+        raise ValueError("closed forms cover the sep and qm models only")
+    ca, sa, cb, sb = _cos_sin_m2(s)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (2, 2):
+        raise ValueError(f"coefficient matrix must be 2x2, got {z.shape}")
+    norm_sq = _square_sum(z)
+    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1] and z.any():
+        # The squares below overflow or underflow at this scale. The support
+        # is positively homogeneous, so evaluate it on Z with its largest
+        # entry brought into [0.5, 1) and scale back; both scalings are
+        # exact, and a support beyond the float range comes back as inf,
+        # as it does from support.
+        e = math.frexp(np.max(np.abs(z)))[1]
+        return float(np.ldexp(support_m2_closed_form(model, s, np.ldexp(z, -e)), e))
+    ga = _gram_2x2(ca)
+    gb = _gram_2x2(cb)
+    quad = float(np.trace(ga @ z @ gb @ z.T))
+    if model == SEP:
+        cross = abs(complex(np.trace(ga @ z @ _skew_2x2(cb, sb) @ z.T)))
+        return float(np.sqrt(max(0.0, (quad + cross) / 2.0)))
+    det_term = 2.0 * abs(float(np.linalg.det(z))) * sa * sb
+    return float(np.sqrt(max(0.0, quad + det_term)))
+
+
+def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
+    """Two-setting gauge function from the Gram angles.
+
+    Requires both angle sines bounded away from zero; with collinear
+    settings the body flattens out and the general path with its range
+    test is the right tool.
+    """
+    if model not in (SEP, QM):
+        raise ValueError("closed forms cover the sep and qm models only")
+    ca, sa, cb, sb = _cos_sin_m2(s)
+    if sa * sb <= DEGENERATE_ANGLE_TOL:
+        raise ValueError("settings are too close to collinear for the closed form")
+    c = np.asarray(c, dtype=float)
+    if c.shape != (2, 2):
+        raise ValueError(f"correlation matrix must be 2x2, got {c.shape}")
+    # The phase matrices are rank one, L_theta = u u^dag / sin^2(theta) with
+    # u = (1, -exp(-i theta)), so each quadratic trace collapses to the
+    # squared modulus of a single scalar. Evaluating those scalars first and
+    # dividing by the sines last keeps the cancellation at the scale of the
+    # entries of C instead of 1/sin^2, which is what makes nearly collinear
+    # settings come out to full precision.
+    ua = np.array([1.0, -complex(ca, sa)])
+    ub = np.array([1.0, -complex(cb, sb)])
+    w_plus = abs(complex(ua @ c @ ub))
+    w_minus = abs(complex(ua @ c @ ub.conjugate()))
+    if model == SEP:
+        return max(w_plus, w_minus) / (sa * sb)
+    return 0.5 * (w_plus + w_minus) / (sa * sb)
 
 
 def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.ndarray:

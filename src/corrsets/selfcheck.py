@@ -282,23 +282,23 @@ def _check_m2_forms(rng, sizes):
         checks = []
         for model in (SEP, QM):
             general = geometry.support(model, s, z)
-            closed = geometry.support_m2_closed_form(model, s, z)
+            closed = oracles.support_m2_closed_form(model, s, z)
             checks.append((general, closed, "support-" + model))
         g_sep = geometry.gauge(SEP, s, c)
         if g_sep.finite:
-            checks.append((g_sep.value, geometry.gauge_m2_closed_form(SEP, s, c),
+            checks.append((g_sep.value, oracles.gauge_m2_closed_form(SEP, s, c),
                            "gauge-sep"))
         g_qm = geometry.gauge(QM, s, c)
         if g_qm.finite:
-            closed_qm = geometry.gauge_m2_closed_form(QM, s, c)
+            closed_qm = oracles.gauge_m2_closed_form(QM, s, c)
             checks.append((g_qm.value, closed_qm, "gauge-qm"))
 
         # vec-form route for the support: quadratic forms in vec(Z) with the
         # Kronecker matrices. Entries are O(1), fine at any angle.
-        ga, gb = geometry._gram_2x2(np.cos(alpha)), geometry._gram_2x2(np.cos(beta))
+        ga, gb = oracles._gram_2x2(np.cos(alpha)), oracles._gram_2x2(np.cos(beta))
         zv = z.T.ravel()
         kq = float(zv @ np.kron(gb, ga) @ zv)
-        jq = complex(zv @ np.kron(geometry._skew_2x2(np.cos(beta), np.sin(beta)), ga) @ zv)
+        jq = complex(zv @ np.kron(oracles._skew_2x2(np.cos(beta), np.sin(beta)), ga) @ zv)
         checks.append((geometry.support(SEP, s, z),
                        np.sqrt((kq + abs(jq)) / 2.0), "support-sep-vec"))
 
@@ -430,23 +430,18 @@ def _check_gram_equivalence(rng, sizes):
                        for s, z in instances])
     gram = np.empty_like(direct)
     for idx, a, b, z in _stacks(instances):
-        gram[idx] = oracles._gram_supports(a, b, z)
+        gram[idx] = oracles.gram_equivalent_support(a, b, z)
     devs = (np.abs(direct - gram) / np.maximum(1.0, np.abs(direct))).ravel()
-    gaps = []
 
     def replay(i):
-        # The one-instance route rebuilds the replay; its distance from the
-        # stacked value counts toward the deviation.
         k, col = divmod(i, len(geometry.MODELS))
-        (s, z), model = instances[k], geometry.MODELS[col]
-        scalar = oracles.gram_equivalent_support(s, z, model)
-        gaps.append(abs(scalar - gram[k, col]) / max(1.0, abs(direct[k, col])))
-        return dict(model=model, a=s.a, b=s.b, z=z, direct=direct[k, col], gram=scalar)
+        s, z = instances[k]
+        return dict(model=geometry.MODELS[col], a=s.a, b=s.b, z=z, direct=direct[k, col],
+                    gram=gram[k, col])
 
     worst = _Worst()
     worst.offer_stack(devs, replay)
-    return [_result("gram-equivalence", n, _nanmax(worst.value, *gaps), _TOL_EXACT,
-                    worst.detail)]
+    return [worst.result("gram-equivalence", n, _TOL_EXACT)]
 
 
 def _check_bell_spectrum(rng, sizes):
@@ -590,9 +585,9 @@ def _check_state_thresholds(rng, sizes):
         return _bisect_threshold(lambda p: -1.0 if flag(p) else 1.0, 0.0, 1.0)
 
     werner_flip = flip_point(
-        lambda p: twoqubit.classify_state(twoqubit.werner_state(p), restarts=8).is_separable)
+        lambda p: twoqubit.classify_state(twoqubit.werner_state(p)).is_separable)
     tau_flip = flip_point(
-        lambda p: twoqubit.classify_state(twoqubit.tau_state(p), restarts=8).is_quantum)
+        lambda p: twoqubit.classify_state(twoqubit.tau_state(p)).is_quantum)
     worst = max(abs(werner_flip - 2.0 / 3.0), abs(tau_flip - 2.0 / 3.0))
     return [_result("state-class-thresholds", 2, worst, 1e-6)]
 

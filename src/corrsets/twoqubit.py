@@ -59,19 +59,17 @@ class StateClass:
 
     ``is_quantum`` and ``is_separable`` are decided when classify_state
     builds the record. ``is_block_positive`` and ``min_product_overlap``
-    come from one block_positivity_minimum run with ``restarts`` and
-    ``seed``, started on the first read of either and cached.
+    come from one block_positivity_minimum run with its default restarts
+    and seed, started on the first read of either and cached.
     """
 
     is_quantum: bool
     is_separable: bool
     rho: np.ndarray = field(repr=False)   # read-only copy of the state
-    restarts: int
-    seed: int
 
     @cached_property
     def _product_minimum(self) -> float:
-        value, _, _ = block_positivity_minimum(pauli_expand(self.rho), self.restarts, self.seed)
+        value, _, _ = block_positivity_minimum(pauli_expand(self.rho))
         return value
 
     @property
@@ -200,7 +198,7 @@ def block_positivity_minimum(p: PauliForm, restarts: int = 64, seed: int = 0):
     return float(values[best]), u[best], v[best]
 
 
-def classify_state(rho, restarts: int = 64, seed: int = 0) -> StateClass:
+def classify_state(rho) -> StateClass:
     """Locate a unit-trace Hermitian operator in the state-space hierarchy.
 
     is_quantum tests positive semidefiniteness, is_separable adds positivity
@@ -222,7 +220,7 @@ def classify_state(rho, restarts: int = 64, seed: int = 0) -> StateClass:
         is_separable = False
     rho = rho.copy()
     rho.setflags(write=False)
-    return StateClass(is_quantum, is_separable, rho, restarts, seed)
+    return StateClass(is_quantum, is_separable, rho)
 
 
 def _check_orthogonal(q, tol=1e-9):

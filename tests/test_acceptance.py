@@ -110,7 +110,7 @@ def test_criterion_04_beyond_quantum_threshold():
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         state = twoqubit.tau_state(mid)
-        if twoqubit.classify_state(state, restarts=8).is_quantum:
+        if twoqubit.classify_state(state).is_quantum:
             hi = mid
         else:
             lo = mid
@@ -209,9 +209,8 @@ def test_criterion_08_identity_suite():
         m = int(rng.integers(2, 6))
         s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
         z = rng.standard_normal((m, m))
-        for model in geometry.MODELS:
+        for model, gram in zip(geometry.MODELS, oracles.gram_equivalent_support(s.a, s.b, z)):
             direct = geometry.support(model, s, z)
-            gram = oracles.gram_equivalent_support(s, z, model)
             worst = max(worst, abs(direct - gram) / max(1.0, abs(direct)))
     assert worst <= 1e-9
 

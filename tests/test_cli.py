@@ -475,6 +475,35 @@ def test_nonfinite_scenario_entries_exit_2(capsys, tmp_path, name, command):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+_EYE3 = np.eye(3).tolist()
+_BIG_INT = "1" + "0" * 400   # a JSON integer too large for a float
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["A", "Z", "C", "state"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999", _BIG_INT])
+def test_nonfinite_literal_names_its_key(capsys, tmp_path, literal, key):
+    base = {"A": _EYE3, "B": _EYE3, "Z": _EYE3, "C": _EYE3}
+    if key == "state":
+        base["state"] = np.zeros((4, 4)).tolist()
+    base[key] = [["X" if i == j == 0 else v for j, v in enumerate(row)]
+                 for i, row in enumerate(base[key])]
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(base).replace('"X"', literal))
+    for command in ("support", "gauge", "witness"):
+        rc, out, err = run(capsys, command, "--model", "qm", "--file", str(path))
+        assert (rc, out) == (2, ""), (literal, key, command)
+        assert err == f"error: {key} must hold finite numbers only\n"
+
+
+def test_deeply_nested_scenario_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"Z": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    rc, out, err = run(capsys, "support", "--model", "sep", "--file", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: scenario file is nested too deeply\n"
+
+
 _NON_NUMERIC_FILES = {
     "weight": {"state": {"weight": None, "ra": [0, 0, 0], "rb": [0, 0, 0],
                          "t": np.zeros((3, 3)).tolist()}},

@@ -12,7 +12,8 @@ from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH,
                              rotated_settings, table1)
 from corrsets.detect import witness_report
 from corrsets.geometry import (MAX, QM, SEP, MeasurementSettings,
-                               correlation_matrix, gauge, support)
+                               correlation_matrix, gauge, membership, optimizer_z,
+                               support)
 from corrsets.oracles import random_separable_state, random_settings
 from corrsets.twoqubit import partial_transpose, rho_max, tau_state, werner_state
 
@@ -167,9 +168,38 @@ def test_containment_report_is_consistent():
             g = gauge(inner, s, rep.maximizer_c)
             assert g.finite
             assert abs(g.value - rep.radius) <= 1e-8
-            ratio = float(np.sum(rep.witness_z * rep.maximizer_c)) \
-                / support(inner, s, rep.witness_z)
+            witness_z = optimizer_z(inner, s, rep.maximizer_c)
+            ratio = float(np.sum(witness_z * rep.maximizer_c)) \
+                / support(inner, s, witness_z)
             assert abs(ratio - rep.radius) <= 1e-8
+
+
+def test_radii_and_best_thresholds_depend_only_on_r():
+    """On seeded settings of every (m, rank) the maximizer lies in the outer
+    body, the inner gauge and the optimizer_z duality ratio reach the
+    radius there, and the best noise thresholds follow: 1 - 1/r for
+    entanglement, and 2/3 at r = 3 or 0 below for beyond-quantum states."""
+    rng = np.random.default_rng(29)
+    for m in range(2, 6):
+        for rank in range(1, min(3, m) + 1):
+            for _ in range(4):
+                s = random_settings(rng, m, rank)
+                assert s.r == rank
+                for pair, radius, threshold in (
+                        (QM_OVER_SEP, rank, 1.0 - 1.0 / rank),
+                        (MAX_OVER_QM, 3.0 if rank == 3 else 1.0,
+                         2.0 / 3.0 if rank == 3 else 0.0)):
+                    rep = containment_radius(s, pair)
+                    outer, inner = rep.pair
+                    assert rep.radius == radius
+                    assert membership(outer, s, rep.maximizer_c)
+                    g = gauge(inner, s, rep.maximizer_c)
+                    assert g.finite and g.value == pytest.approx(radius, abs=1e-8)
+                    z = optimizer_z(inner, s, rep.maximizer_c)
+                    ratio = float(np.sum(z * rep.maximizer_c)) / support(inner, s, z)
+                    assert ratio == pytest.approx(radius, abs=1e-8)
+                    assert critical_noise(inner, s, rep.maximizer_c) == pytest.approx(
+                        threshold, abs=1e-8)
 
 
 def test_containment_radius_validation():

@@ -6,10 +6,10 @@ import pytest
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
 from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
                                MeasurementSettings, correlation_matrix,
-                               extreme_point, gauge, gauge_m2_closed_form,
-                               membership, optimizer_z, planar_settings,
-                               support, support_m2_closed_form, _cos_sin_m2)
-from corrsets.oracles import _gram_supports, gram_equivalent_support, random_settings
+                               extreme_point, gauge, membership, optimizer_z,
+                               planar_settings, support)
+from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
+                              random_settings, support_m2_closed_form)
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -330,9 +330,8 @@ def test_gram_equivalent_support_agrees():
         m = int(RNG.integers(2, 5))
         s = draw_settings(RNG, m)
         z = RNG.standard_normal((m, m))
-        for model in MODELS:
+        for model, viagram in zip(MODELS, gram_equivalent_support(s.a, s.b, z)):
             direct = support(model, s, z)
-            viagram = gram_equivalent_support(s, z, model)
             assert abs(direct - viagram) <= 1e-8 * max(1.0, direct)
 
 
@@ -342,20 +341,24 @@ def test_stacked_gram_supports_are_the_single_instance_route():
         for rank in range(1, min(3, m) + 1):
             ss = [random_settings(rng, m, rank) for _ in range(25)]
             zs = rng.standard_normal((25, m, m))
-            stacked = _gram_supports(np.stack([s.a for s in ss]), np.stack([s.b for s in ss]), zs)
-            single = [[gram_equivalent_support(s, z, model) for model in MODELS]
-                      for s, z in zip(ss, zs)]
-            assert stacked.tolist() == single
+            stacked = gram_equivalent_support(np.stack([s.a for s in ss]),
+                                              np.stack([s.b for s in ss]), zs)
+            single = [gram_equivalent_support(s.a, s.b, z).tolist() for s, z in zip(ss, zs)]
+            assert stacked.shape == (25, len(MODELS)) and stacked.tolist() == single
 
 
 def test_gram_equivalent_support_rejects_bad_input():
     s = pauli_settings()
-    with pytest.raises(ValueError):
-        gram_equivalent_support(s, np.eye(3), "nope")
-    with pytest.raises(ValueError):
-        gram_equivalent_support(s, np.eye(2), QM)
-    with pytest.raises(ValueError):
-        gram_equivalent_support(s, np.diag([1.0, np.inf, 1.0]), QM)
+    with pytest.raises(ValueError, match="shapes"):
+        gram_equivalent_support(s.a, s.b, np.eye(2))
+    with pytest.raises(ValueError, match="shapes"):
+        gram_equivalent_support(s.a, s.b[:2], np.eye(3))
+    with pytest.raises(ValueError, match="shapes"):
+        gram_equivalent_support(s.a[None], s.b[None], np.eye(3))
+    with pytest.raises(ValueError, match="z has non-finite"):
+        gram_equivalent_support(s.a, s.b, np.diag([1.0, np.inf, 1.0]))
+    with pytest.raises(ValueError, match="a has non-finite"):
+        gram_equivalent_support(np.full((3, 3), np.nan), s.b, np.eye(3))
 
 
 def test_gram_angles_match_the_cross_product_route():

@@ -17,9 +17,11 @@ VERIFICATION = {"oracles", "selfcheck"}
 # Verification-only kernels, routes and samplers; oracles holds each of them.
 MOVED = {"LEVI_CIVITA", "SpecialSvdResult", "special_svd", "max_trace_over_rotations",
          "det3_intrinsic", "_psd_sqrt", "gram_equivalent_support",
-         "random_product_state", "random_separable_state", "random_quantum_state"}
+         "random_product_state", "random_separable_state", "random_quantum_state",
+         "support_m2_closed_form", "gauge_m2_closed_form", "_cos_sin_m2", "_cross_norm",
+         "_gram_2x2", "_skew_2x2", "DEGENERATE_ANGLE_TOL"}
 # Wrappers and test-only helpers that no module defines any more.
-DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z"}
+DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports"}
 
 
 def _imports_and_definitions(name):

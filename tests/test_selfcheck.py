@@ -66,41 +66,32 @@ def _run(check, seed=3):
 
 
 def test_nan_gram_support_fails_gram_equivalence(monkeypatch):
-    real = oracles._gram_supports
+    real = oracles.gram_equivalent_support
 
     def poisoned(a, b, z):
         out = real(a, b, z)
         out[-1, 1] = np.nan
         return out
 
-    monkeypatch.setattr(oracles, "_gram_supports", poisoned)
+    monkeypatch.setattr(oracles, "gram_equivalent_support", poisoned)
     result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
     assert not result.passed and math.isnan(result.worst)
     assert '"model": "qm"' in result.detail
 
 
-def test_scalar_replay_must_match_the_stack(monkeypatch):
-    real = oracles.gram_equivalent_support
-    monkeypatch.setattr(oracles, "gram_equivalent_support",
-                        lambda s, z, model: real(s, z, model) + 1e-3)
-    result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
-    assert not result.passed and result.worst > 1e-9
-    monkeypatch.setattr(oracles, "gram_equivalent_support", lambda s, z, model: math.nan)
-    result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
-    assert not result.passed and math.isnan(result.worst)
-
-
-def test_gram_equivalence_replays_through_the_scalar_route(monkeypatch):
-    calls = []
+def test_gram_equivalence_evaluates_one_stack_per_m(monkeypatch):
+    shapes = []
     real = oracles.gram_equivalent_support
 
-    def spy(s, z, model):
-        calls.append(model)
-        return real(s, z, model)
+    def spy(a, b, z):
+        shapes.append(np.shape(z))
+        return real(a, b, z)
 
     monkeypatch.setattr(oracles, "gram_equivalent_support", spy)
     result = _run(selfcheck._check_gram_equivalence)["gram-equivalence"]
-    assert result.passed and len(calls) == 1
+    assert result.passed
+    assert sorted(shape[1] for shape in shapes) == [2, 3, 4, 5]
+    assert sum(shape[0] for shape in shapes) == SIZES["identity"] == result.instances
 
 
 def test_nan_intrinsic_determinant_fails(monkeypatch):

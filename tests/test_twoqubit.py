@@ -173,27 +173,27 @@ def test_classify_runs_the_descent_only_when_read(monkeypatch):
 
     monkeypatch.setattr(twoqubit, "block_positivity_minimum", counted)
     for p in (0.0, 0.5, 0.8):
-        cls = classify_state(werner_state(p), restarts=8)
+        cls = classify_state(werner_state(p))
         assert cls.is_quantum and cls.is_separable == (p > 2.0 / 3.0)
     assert not classify_state(tau_state(0.5)).is_quantum
     assert calls == []
-    cls = classify_state(rho_max(), restarts=8, seed=3)
+    cls = classify_state(rho_max())
     for _ in range(2):
         assert cls.is_block_positive
         assert abs(cls.min_product_overlap) <= 1e-6
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("restarts", [8, 64])
-def test_lazy_fields_equal_the_direct_descent(restarts):
-    """Bit for bit the value of block_positivity_minimum on the expansion,
-    with the restarts and seed given to classify_state."""
+@pytest.mark.parametrize("first_seed", [8, 64])
+def test_lazy_fields_equal_the_direct_descent(first_seed):
+    """Bit for bit the value of block_positivity_minimum on the expansion, at
+    the descent's default restarts and seed; the random states come from ten
+    seeds starting at first_seed."""
     states = [family(k / 20) for family in (werner_state, tau_state) for k in range(21)]
-    states += [rho_max()] + [random_quantum_state(seed) for seed in range(10)]
-    for i, rho in enumerate(states):
-        seed = i % 3
-        value, _, _ = block_positivity_minimum(pauli_expand(rho), restarts, seed)
-        cls = classify_state(rho, restarts=restarts, seed=seed)
+    states += [rho_max()] + [random_quantum_state(first_seed + k) for k in range(10)]
+    for rho in states:
+        value, _, _ = block_positivity_minimum(pauli_expand(rho))
+        cls = classify_state(rho)
         assert cls.min_product_overlap.hex() == (value / 4.0).hex()
         assert cls.is_block_positive == (value >= -1e-7)
 
