@@ -14,8 +14,9 @@ directions), optional "Z" and "C" (m x m matrices), and an optional
 [re, im] pairs. Rows of A and B are renormalized when they are within 1e-3
 of unit length and rejected otherwise. Non-finite numbers (NaN, Infinity,
 a float literal that overflows, an integer too large for a float) and
-non-numeric entries (null, objects) in A, B, Z, C and the state are
-rejected, naming the key. So is a file nested too deeply to parse.
+non-numeric entries (null, objects, strings) and ragged or over-deep
+arrays in A, B, Z, C and the state are rejected, naming the key. So is a
+file nested too deeply to parse.
 
 Every subcommand accepts --seed, but only `verify` draws random numbers
 from it. The others compute no random quantity: they echo the seed in the
@@ -111,10 +112,12 @@ def parse_state(value):
 
 
 def _float_array(value, key: str) -> np.ndarray:
-    """A scenario entry as a float array; a non-finite, overflowing or
-    non-numeric entry is an error naming key."""
+    """A scenario entry as a float array; a non-finite, overflowing,
+    non-numeric, ragged or over-deep entry is an error naming key."""
     try:
         array = np.asarray(value, dtype=float)
+    except ValueError:  # ragged, deeper than numpy's dimension limit, or a string
+        raise ValueError(f"{key} must be a rectangular array of numbers") from None
     except (TypeError, OverflowError):
         array = None
     if array is None or not np.all(np.isfinite(array)):

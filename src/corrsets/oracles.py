@@ -7,16 +7,18 @@ eigensolves of the measurement operator for the quantum and maximal
 supports, the Gram-picture support with its basis-free determinant
 expansion, the m = 2 closed forms in the Gram angles alpha, beta for the
 separable and quantum supports and gauges, sampled dual ratios for the
-gauges, and a Frank-Wolfe projection for hull membership. The
+gauges, and a Frank-Wolfe projection for hull membership, which certifies
+a point once its residual is below the fixed _FW_TOL. The
 optimization-based routes are monotone lower bounds, so they can only fail
 in one direction. The kernels the routes and checks need (the
 rotation-factored SVD, the Procrustes maximizer over rotation components,
-the intrinsic determinant) and the random settings and state samplers live
-here as well. The intrinsic determinant and the Gram-picture supports take
-one instance or a (k, ...) stack, so the battery draws its instances one by
-one and evaluates these routes once per stack. np.einsum runs its path
-search (einsum_path) on every call, even when given a fixed path, so
-stacking is what amortizes it: once per call over the whole stack.
+which reads its argmax off that SVD, the intrinsic determinant) and the
+random settings and state samplers live here as well. The intrinsic
+determinant and the Gram-picture supports take one instance or a (k, ...)
+stack, so the battery draws its instances one by one and evaluates these
+routes once per stack. np.einsum runs its path search (einsum_path) on
+every call, even when given a fixed path, so stacking is what amortizes
+it: once per call over the whole stack.
 """
 
 from __future__ import annotations
@@ -40,18 +42,16 @@ class OracleConfig:
     grid_points: int = 4096
     restarts: int = 32
     samples: int = 10_000
-    tol: float = 1e-4
 
     def __post_init__(self):
         if min(self.grid_points, self.restarts, self.samples) < 1:
             raise ValueError("all counts must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 DEFAULT_CONFIG = OracleConfig()
 
 _FW_MAX_ITERS = 500
+_FW_TOL = 1e-4  # residual that certifies hull membership
 _REFINE_SWEEPS = 150
 _MAX_PRODUCT_TERMS = 16
 
@@ -109,27 +109,19 @@ def max_trace_over_rotations(x, component: str = "SO3"):
     """Maximize Tr[x.T @ q] over a component of the 3x3 orthogonal group.
 
     component is one of "SO3" (rotations), "SO3_minus" (reflections,
-    determinant -1) or "O3" (both). Returns ``(value, argmax)`` where the
-    argmax is an exact member of the requested component and the value is
-    norm_plus(x), norm_minus(x) or trace_norm(x) respectively.
+    determinant -1) or "O3" (both). With x = u @ diag(s) @ v.T from
+    special_svd, the argmax is u @ diag(1, 1, f) @ v.T and the value
+    s1 + s2 + f * s3, for f = +1, -1 or sign(s3) respectively: the value
+    is norm_plus(x), norm_minus(x) or trace_norm(x). Returns
+    ``(value, argmax)``; the argmax is an exact member of the component.
     """
-    x = _as_finite_matrix(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
-    u, s, vt = np.linalg.svd(x)
-    d = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
-    if component == "O3":
-        q = u @ vt
-        value = float(s.sum())
-    elif component == "SO3":
-        q = u @ np.diag([1.0, 1.0, d]) @ vt
-        value = float(s[0] + s[1] + d * s[2])
-    elif component == "SO3_minus":
-        q = u @ np.diag([1.0, 1.0, -d]) @ vt
-        value = float(s[0] + s[1] - d * s[2])
-    else:
+    u, s, v = special_svd(x)
+    # copysign reads the sign of a zero s3 too, which special_svd sets to the
+    # factors' orientation, so the O3 argmax is then the plain polar factor.
+    f = {"SO3": 1.0, "SO3_minus": -1.0, "O3": math.copysign(1.0, s[2])}.get(component)
+    if f is None:
         raise ValueError(f"unknown component {component!r}")
-    return value, q
+    return float(s[0] + s[1] + f * s[2]), u @ np.diag([1.0, 1.0, f]) @ v.T
 
 
 def _stack_operands(a, b, z):
@@ -414,8 +406,7 @@ def _project_to_active_hull(atoms: np.ndarray, weights: np.ndarray, c_vec: np.nd
         weights /= weights.sum()
 
 
-def hull_membership_oracle(model: str, s: MeasurementSettings, c,
-                           cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
+def hull_membership_oracle(model: str, s: MeasurementSettings, c) -> bool:
     """Project C onto the hull of extreme correlations; True if it lands on C.
 
     Fully corrective Frank-Wolfe: each round asks the linear oracle for the
@@ -425,7 +416,7 @@ def hull_membership_oracle(model: str, s: MeasurementSettings, c,
     points exit early: with x in the hull and the oracle's gap
     g = <c - x, atom - x>, the squared distance to the hull is at least
     residual^2 - 2g. With the projection exact the loop cannot stall: any
-    round that passes both exits has g > (res^2 - tol^2) / 2 > 0, and the
+    round that passes both exits has g > (res^2 - _FW_TOL^2) / 2 > 0, and the
     next projection then shrinks the residual by at least the line-search
     amount g^2 / |atom - x|^2.
     """
@@ -440,7 +431,7 @@ def hull_membership_oracle(model: str, s: MeasurementSettings, c,
     atoms = first.reshape(1, -1).copy()
     weights = np.ones(1)
     x = atoms[0].copy()
-    tol_sq = cfg.tol * cfg.tol
+    tol_sq = _FW_TOL * _FW_TOL
 
     for _ in range(_FW_MAX_ITERS):
         grad = c_vec - x
@@ -454,7 +445,7 @@ def hull_membership_oracle(model: str, s: MeasurementSettings, c,
         atoms = np.vstack([atoms, fresh])
         weights = np.append(weights, 0.0)
         atoms, weights, x = _project_to_active_hull(atoms, weights, c_vec)
-    return float(np.linalg.norm(c_vec - x)) <= cfg.tol
+    return float(np.linalg.norm(c_vec - x)) <= _FW_TOL
 
 
 def random_settings(rng, m: int, rank: int) -> MeasurementSettings:

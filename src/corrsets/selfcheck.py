@@ -6,7 +6,10 @@ serializes one offending instance as JSON so it can be replayed by hand. A
 NaN deviation fails its check. The heavy checks draw their instances one by
 one and evaluate the independent route on stacks grouped by m, while the
 production functions they test still run once per instance; the replay is
-the instance that offering each deviation in turn would have picked.
+the instance that offering each deviation in turn would have picked. Every
+check that draws random settings of random size goes through
+_draw_settings (m, then the rank, then oracles.random_settings), and the
+two gauge-duality checks share one draw-and-skip loop.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.
@@ -135,11 +138,16 @@ class _Worst:
         return _result(name, n, self.value, tol, self.detail)
 
 
+def _draw_settings(rng, m_stop=6):
+    """Random settings: m in 2..m_stop - 1, then a rank up to min(3, m)."""
+    m = int(rng.integers(2, m_stop))
+    return oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
+
+
 def _random_instance(rng):
-    """One (settings, Z) draw: m in 2..5, a rank up to min(3, m), Gaussian Z."""
-    m = int(rng.integers(2, 6))
-    s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
-    return s, rng.standard_normal((m, m))
+    """One (settings, Z) draw: settings from _draw_settings, then a Gaussian Z."""
+    s = _draw_settings(rng)
+    return s, rng.standard_normal((s.m, s.m))
 
 
 def _stacks(instances):
@@ -193,45 +201,40 @@ def _random_finite_c(rng, s):
     return c / norm if norm > 0 else c
 
 
-def _check_duality(rng, sizes):
-    """Optimizer attainment: Tr[Z*^T C] / support(Z*) reproduces the gauge."""
-    n = sizes["dual"]
-    worst = _Worst()
-    count = 0
+def _finite_gauge_draws(rng, n, m_stop):
+    """(model, settings, C, gauge) for n draws per model, in MODELS order,
+    keeping only those whose gauge is finite and above 1e-12."""
     for model in geometry.MODELS:
         for _ in range(n):
-            m = int(rng.integers(2, 6))
-            rank = int(rng.integers(1, min(3, m) + 1))
-            s = oracles.random_settings(rng, m, rank)
+            s = _draw_settings(rng, m_stop)
             c = _random_finite_c(rng, s)
             g = geometry.gauge(model, s, c)
-            if not g.finite or g.value <= 1e-12:
-                continue
-            count += 1
-            z_star = geometry.optimizer_z(model, s, c)
-            ratio = float(np.sum(z_star * c)) / geometry.support(model, s, z_star)
-            worst.offer(abs(ratio - g.value) / max(1.0, g.value), model=model, a=s.a,
-                        b=s.b, c=c, gauge=g.value, ratio=ratio)
+            if g.finite and g.value > 1e-12:
+                yield model, s, c, g
+
+
+def _check_duality(rng, sizes):
+    """Optimizer attainment: Tr[Z*^T C] / support(Z*) reproduces the gauge."""
+    worst = _Worst()
+    count = 0
+    for model, s, c, g in _finite_gauge_draws(rng, sizes["dual"], 6):
+        count += 1
+        z_star = geometry.optimizer_z(model, s, c)
+        ratio = float(np.sum(z_star * c)) / geometry.support(model, s, z_star)
+        worst.offer(abs(ratio - g.value) / max(1.0, g.value), model=model, a=s.a,
+                    b=s.b, c=c, gauge=g.value, ratio=ratio)
     return [worst.result("gauge-duality-attainment", count, 1e-8)]
 
 
 def _check_dual_oracle(rng, sizes):
     """Sampled dual ratios agree with the gauge once Z* is in the pool."""
-    n = sizes["dual_oracle"]
     cfg = OracleConfig(seed=int(rng.integers(2**31)), samples=4000)
     worst = _Worst()
     count = 0
-    for model in geometry.MODELS:
-        for _ in range(n):
-            m = int(rng.integers(2, 5))
-            s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
-            c = _random_finite_c(rng, s)
-            g = geometry.gauge(model, s, c)
-            if not g.finite or g.value <= 1e-12:
-                continue
-            count += 1
-            worst.offer(abs(oracles.gauge_dual_oracle(model, s, c, cfg) - g.value),
-                        model=model, a=s.a, b=s.b, c=c, gauge=g.value)
+    for model, s, c, g in _finite_gauge_draws(rng, sizes["dual_oracle"], 5):
+        count += 1
+        worst.offer(abs(oracles.gauge_dual_oracle(model, s, c, cfg) - g.value),
+                    model=model, a=s.a, b=s.b, c=c, gauge=g.value)
     return [worst.result("gauge-vs-dual-oracle", count, 1e-8)]
 
 
@@ -621,8 +624,7 @@ def _check_symmetry(rng, sizes):
     n = max(10, sizes["identity"] // 20)
     worst = 0.0
     for _ in range(n):
-        m = int(rng.integers(2, 6))
-        s = oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
+        s = _draw_settings(rng)
         c = _random_finite_c(rng, s)
         for model in (SEP, MAX):
             plus = geometry.gauge(model, s, c)
@@ -642,7 +644,6 @@ def _check_symmetry(rng, sizes):
 def _check_hull_membership(rng, sizes):
     """Frank-Wolfe membership agrees with the gauge verdict on both sides."""
     n = sizes["hull"]
-    cfg = OracleConfig(seed=int(rng.integers(2**31)))
     failures = 0.0
     count = 0
     bad = ""
@@ -656,15 +657,15 @@ def _check_hull_membership(rng, sizes):
             inside = 0.85 * c / g.value
             outside = 1.1 * c / g.value
             count += 2
-            if not oracles.hull_membership_oracle(model, s, inside, cfg):
+            if not oracles.hull_membership_oracle(model, s, inside):
                 failures += 1.0
                 bad = _serialize(model=model, a=s.a, b=s.b, c=inside, expect="inside")
-            if oracles.hull_membership_oracle(model, s, outside, cfg):
+            if oracles.hull_membership_oracle(model, s, outside):
                 failures += 1.0
                 bad = _serialize(model=model, a=s.a, b=s.b, c=outside, expect="outside")
         zero = np.zeros((3, 3))
         count += 1
-        if not oracles.hull_membership_oracle(model, s, zero, cfg):
+        if not oracles.hull_membership_oracle(model, s, zero):
             failures += 1.0
             bad = _serialize(model=model, expect="zero inside")
     return [_result("hull-membership", count, failures, 0.0, bad)]
@@ -698,23 +699,20 @@ def _check_rigidity(rng, sizes):
     worst = _Worst()
     for i in range(n):
         q = random_rotation(rng, "O3")
-        if i % 2 == 0:
+        local = i % 2 == 0
+        if local:
             ra = rng.standard_normal(3) * 0.2
             rb = rng.standard_normal(3) * 0.2
             slice_bound = float(np.linalg.norm(ra - q @ rb))
             if slice_bound < 1e-3:
                 continue
-            value, _, _ = twoqubit.block_positivity_minimum(
-                twoqubit.PauliForm(1.0, ra, rb, q), restarts=16,
-                seed=int(rng.integers(2**31)))
-            # the minimum must dip at least as low as the slice bound says
-            dev = _nanmax(0.0, value + slice_bound)
         else:
-            value, _, _ = twoqubit.block_positivity_minimum(
-                twoqubit.PauliForm(1.0, np.zeros(3), np.zeros(3), q), restarts=16,
-                seed=int(rng.integers(2**31)))
-            dev = abs(value)
-        worst.offer(dev, q=q, value=value, case="local" if i % 2 == 0 else "bare")
+            ra = rb = np.zeros(3)
+        value, _, _ = twoqubit.block_positivity_minimum(
+            twoqubit.PauliForm(1.0, ra, rb, q), restarts=16, seed=int(rng.integers(2**31)))
+        # a local minimum must dip at least as low as the slice bound says
+        dev = _nanmax(0.0, value + slice_bound) if local else abs(value)
+        worst.offer(dev, q=q, value=value, case="local" if local else "bare")
     return [worst.result("extremal-rigidity", n, 1e-7)]
 
 

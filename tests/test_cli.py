@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import copy
 import csv
 import json
 
@@ -274,7 +275,28 @@ def test_ratios_arithmetic_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error: constructed maximizer")
 
 
-def test_verify_quick(capsys):
+@pytest.fixture(scope="module")
+def _battery_cache():
+    return {}
+
+
+@pytest.fixture
+def cached_battery(monkeypatch, _battery_cache):
+    """run_battery that runs each (level, seed) once per module and hands out
+    deep copies, since a caller may mutate its report."""
+    real = selfcheck.run_battery
+
+    def cached(level="quick", seed=0, scenario=None):
+        if scenario is not None:
+            return real(level=level, seed=seed, scenario=scenario)
+        if (level, seed) not in _battery_cache:
+            _battery_cache[level, seed] = real(level=level, seed=seed)
+        return copy.deepcopy(_battery_cache[level, seed])
+
+    monkeypatch.setattr(selfcheck, "run_battery", cached)
+
+
+def test_verify_quick(capsys, cached_battery):
     rc, out, _ = run(capsys, "verify", "--level", "quick")
     assert rc == 0
     assert "summary:" in out
@@ -288,7 +310,7 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_json_keys(capsys):
+def test_verify_json_keys(capsys, cached_battery):
     rc, out, _ = run(capsys, "verify", "--format", "json")
     assert rc == 0
     payload = json.loads(out)
@@ -319,7 +341,7 @@ def test_verify_json_writes_a_nan_worst_as_null(capsys, monkeypatch):
     assert rc == 1 and "FAIL gram-equivalence" in out and "worst=nan" in out
 
 
-def test_verify_csv_prints_text_report(capsys):
+def test_verify_csv_prints_text_report(capsys, cached_battery):
     # documented: the battery has no table, so csv prints the text report
     rc_csv, out_csv, _ = run(capsys, "verify", "--format", "csv", "--seed", "5")
     rc_text, out_text, _ = run(capsys, "verify", "--seed", "5")
@@ -347,7 +369,7 @@ def test_text_table_is_the_csv_table(capsys, argv):
     assert [line.split(" ") for line in text_lines[:-1]] == csv_rows
 
 
-def test_verify_reports_failure(capsys, monkeypatch):
+def test_verify_reports_failure(capsys, monkeypatch, cached_battery):
     real = selfcheck.run_battery
 
     def broken(level="quick", seed=0, scenario=None):
@@ -523,6 +545,30 @@ def test_non_numeric_scenario_entries_exit_2(capsys, tmp_path, key, command):
     assert rc == 2
     assert out == ""
     assert err == f"error: {key} must hold finite numbers only\n"
+
+
+_SHAPELESS_FILES = {
+    "A": {"A": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+    "Z": {"Z": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+    "C": {"C": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]},
+    "t": {"state": {"ra": [0, 0, 0], "rb": [0, 0, 0], "t": [[-1, 0, 0], [0, -1], [0, 0, -1]]}},
+    "state": {"state": np.zeros((4, 4, 2)).tolist()[:3] + [[[0, 0]] * 3]},
+}
+
+
+@pytest.mark.parametrize("command", ["support", "witness"])
+@pytest.mark.parametrize("key", sorted(_SHAPELESS_FILES) + ["deep-Z"])
+def test_ragged_deep_and_string_entries_name_their_key(capsys, tmp_path, key, command):
+    # numpy raises ValueError on each of these; it must not reach the user
+    base = {"A": _EYE3, "B": _EYE3, "Z": _EYE3, "C": _EYE3, "state": "werner:0.2"}
+    path = tmp_path / f"shapeless-{key}.json"
+    if key == "deep-Z":
+        path.write_text(json.dumps(base)[:-1] + ', "Z": ' + "[" * 100 + "1" + "]" * 100 + "}")
+    else:
+        path.write_text(json.dumps(dict(base, **_SHAPELESS_FILES[key])))
+    rc, out, err = run(capsys, command, "--model", "qm", "--file", str(path))
+    assert (rc, out) == (2, ""), (key, command)
+    assert err == f"error: {key.removeprefix('deep-')} must be a rectangular array of numbers\n"
 
 
 def test_rank_2_frame_has_no_determinant_sign(capsys, tmp_path):

@@ -30,8 +30,6 @@ def test_fibonacci_sphere():
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(samples=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tol=0.0)
 
 
 def test_sep_oracle_is_one_sided():

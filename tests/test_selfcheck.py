@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from corrsets import oracles, selfcheck
+from corrsets import geometry, oracles, selfcheck, twoqubit
 
 SIZES = selfcheck._SIZES["quick"]
 
@@ -117,3 +117,49 @@ def test_nan_bell_spectrum_fails_with_its_replay(monkeypatch):
     assert not result.passed and math.isnan(result.worst)
     assert '"actual": [NaN' in result.detail
 
+
+
+@pytest.mark.parametrize("m_stop", [5, 6])
+def test_draw_settings_keeps_the_rng_order(m_stop):
+    # m, then the rank, then the settings: the order the checks drew in
+    # before they shared one draw path, so their instances stay the same
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        s = selfcheck._draw_settings(rng, m_stop)
+        m = int(ref.integers(2, m_stop))
+        want = oracles.random_settings(ref, m, int(ref.integers(1, min(3, m) + 1)))
+        assert 2 <= s.m < m_stop
+        assert np.array_equal(s.a, want.a) and np.array_equal(s.b, want.b)
+        assert rng.random() == ref.random()
+
+
+def test_finite_gauge_draws_skip_and_keep_model_order(monkeypatch):
+    real = geometry.gauge
+    calls = []
+
+    def every_other_infinite(model, s, c):
+        calls.append(model)
+        return real(model, s, c) if len(calls) % 2 else geometry.GaugeValue(False)
+
+    monkeypatch.setattr(geometry, "gauge", every_other_infinite)
+    draws = list(selfcheck._finite_gauge_draws(np.random.default_rng(3), 10, 5))
+    assert calls == [model for model in geometry.MODELS for _ in range(10)]
+    assert len(draws) == 15
+    assert [d[0] for d in draws] == [model for model in geometry.MODELS for _ in range(5)]
+    assert all(g.finite and g.value > 1e-12 and s.m <= 4 for _, s, _, g in draws)
+
+
+def test_rigidity_runs_one_descent_per_instance_with_zero_bare_parts(monkeypatch):
+    forms = []
+    real = twoqubit.block_positivity_minimum
+
+    def spy(p, restarts, seed):
+        forms.append(p)
+        return real(p, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(twoqubit, "block_positivity_minimum", spy)
+    result, = selfcheck._check_rigidity(np.random.default_rng(3), {"rigidity": 20})
+    assert result.passed and result.instances == 20
+    assert len(forms) in range(11, 21)
+    bare = [p for p in forms if not (p.ra.any() or p.rb.any())]
+    assert len(bare) == 10

@@ -165,6 +165,28 @@ def test_procrustes_matches_norms():
             assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-9
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_procrustes_below_full_rank(rank):
+    # s3 = 0: every component attains s1 + s2, at an exact member of itself
+    for _ in range(50):
+        x = RNG.standard_normal((3, rank)) @ RNG.standard_normal((rank, 3))
+        for component, det in (("SO3", 1.0), ("SO3_minus", -1.0), ("O3", None)):
+            value, q = max_trace_over_rotations(x, component)
+            assert abs(value - trace_norm(x)) <= 1e-9
+            assert abs(float(np.sum(x * q)) - value) <= 1e-9
+            assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-12
+            if det is not None:
+                assert np.isclose(np.linalg.det(q), det)
+    assert np.allclose(max_trace_over_rotations(np.diag([2.0, 1.0, 0.0]), "O3")[1], np.eye(3))
+
+
+def test_procrustes_rejects_unknown_components_and_shapes():
+    with pytest.raises(ValueError, match="unknown component"):
+        max_trace_over_rotations(np.eye(3), "SO2")
+    with pytest.raises(ValueError):
+        max_trace_over_rotations(np.eye(2), "SO3")
+
+
 def test_procrustes_oracle_against_sampled_rotations():
     x = RNG.standard_normal((3, 3))
     best = max(float(np.sum(x * random_rotation(RNG, "SO3")))

@@ -27,13 +27,16 @@ Scenario files are written to one fixed directory under the system
 temporary directory, since their paths appear in the reports. Two runs
 must therefore not overlap in time: they would rewrite each other's
 scenario files, and the `reports` and `sweep` items of their dumps would
-differ. Run the two checkouts one after the other. The script takes no
-options.
+differ. So a run holds an exclusive lock on a file in that directory, and
+a run that finds it held exits 2 at once, printing one line to stderr and
+nothing to stdout. Run the two checkouts one after the other. The script
+takes no options.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import io
 import json
 import os
@@ -55,6 +58,7 @@ os.environ["COLUMNS"] = "80"
 SEEDS = range(5)
 GAUGE_ITEMS = 600
 WORKDIR = os.path.join(tempfile.gettempdir(), "corrsets-dump-outputs")
+LOCKFILE = os.path.join(WORKDIR, "dump.lock")
 COMMANDS = ("support", "gauge", "witness", "verify", "table1", "ratios", "sweep")
 # argparse rejects these before any command runs.
 USAGE_DECKS = [
@@ -194,13 +198,20 @@ def main() -> int:
         print("dump_outputs.py takes no options", file=sys.stderr)
         return 2
     os.makedirs(WORKDIR, exist_ok=True)
-    for seed in SEEDS:
-        for produce in (reports_lines, gauge_stream_lines, verify_lines):
-            for line in produce(seed):
+    with open(LOCKFILE, "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"dump_outputs.py: another run holds {LOCKFILE}; run one after the other",
+                  file=sys.stderr)
+            return 2
+        for seed in SEEDS:
+            for produce in (reports_lines, gauge_stream_lines, verify_lines):
+                for line in produce(seed):
+                    print(line)
+        for produce in (cli_lines, table1_lines, sweep_lines, pauli_lines):
+            for line in produce():
                 print(line)
-    for produce in (cli_lines, table1_lines, sweep_lines, pauli_lines):
-        for line in produce():
-            print(line)
     return 0
 
 
