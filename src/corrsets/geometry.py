@@ -254,6 +254,10 @@ def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     operator norm for the maximal one, and for the quantum body the signed
     sum s1 + s2 + s3 sgn(det W) when both settings have full rank (below
     full rank the quantum and maximal bodies coincide).
+
+    The range test is scale invariant, so a C that cancels to rounding noise
+    (say two opposite correlation matrices of rank-1 settings, summed) reads
+    as out of range: its gauge is infinite, although C = 0 has gauge 0.
     """
     _check_model(model)
     finite, w, norm_c = _gauge_core(s, c)

@@ -14,11 +14,11 @@ in one direction. The kernels the routes and checks need (the
 rotation-factored SVD, the Procrustes maximizer over rotation components,
 which reads its argmax off that SVD, the intrinsic determinant) and the
 random settings and state samplers live here as well. The intrinsic
-determinant and the Gram-picture supports take one instance or a (k, ...)
-stack, so the battery draws its instances one by one and evaluates these
-routes once per stack. np.einsum runs its path search (einsum_path) on
-every call, even when given a fixed path, so stacking is what amortizes
-it: once per call over the whole stack.
+determinant, the Gram-picture supports and the settings sampler's
+per-party kernel take one instance or a stack, so the battery evaluates
+these routes, and draws its settings, once per stack. np.einsum runs its
+path search (einsum_path) on every call, even when given a fixed path, so
+stacking is what amortizes it: once per call over the whole stack.
 """
 
 from __future__ import annotations
@@ -448,6 +448,21 @@ def hull_membership_oracle(model: str, s: MeasurementSettings, c) -> bool:
     return float(np.linalg.norm(c_vec - x)) <= _FW_TOL
 
 
+def _party_rows(g, m: int, rank: int):
+    """random_settings' try for one party on blocks of 9 + m * rank normals
+    (the 3x3 matrix whose Q gives the basis, then the row weights), stacked
+    on any leading axes, bit-equal to one call per block. Returns rows
+    (..., m, 3) and ok (...): no row under 1e-6, and matrix_rank(rows,
+    tol=1e-8) == rank."""
+    basis = np.linalg.qr(g[..., :9].reshape(g.shape[:-1] + (3, 3)))[0][..., :rank]
+    rows = g[..., 9:].reshape(g.shape[:-1] + (m, rank)) @ np.swapaxes(basis, -1, -2)
+    norms = np.linalg.norm(rows, axis=-1)
+    ok = norms.min(axis=-1) >= 1e-6
+    rows = rows / np.maximum(norms, 1e-6)[..., None]  # keeps rows failing ok finite
+    ok &= np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > 1e-8, axis=-1) == rank
+    return rows, ok
+
+
 def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     """Random unit-row settings with both parties at the given rank.
 
@@ -460,13 +475,8 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
 
     def one_party():
         while True:
-            basis = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :rank]
-            rows = rng.standard_normal((m, rank)) @ basis.T
-            norms = np.linalg.norm(rows, axis=1)
-            if norms.min() < 1e-6:
-                continue
-            rows /= norms[:, None]
-            if np.linalg.matrix_rank(rows, tol=1e-8) == rank:
+            rows, ok = _party_rows(rng.standard_normal(9 + m * rank), m, rank)
+            if ok:
                 return rows
 
     return MeasurementSettings(one_party(), one_party())

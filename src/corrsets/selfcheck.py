@@ -3,13 +3,13 @@
 Each check draws fresh random instances, compares two ways of computing the
 same quantity, and reports the worst deviation it saw. A failing check
 serializes one offending instance as JSON so it can be replayed by hand. A
-NaN deviation fails its check. The heavy checks draw their instances one by
-one and evaluate the independent route on stacks grouped by m, while the
-production functions they test still run once per instance; the replay is
-the instance that offering each deviation in turn would have picked. Every
-check that draws random settings of random size goes through
-_draw_settings (m, then the rank, then oracles.random_settings), and the
-two gauge-duality checks share one draw-and-skip loop.
+NaN deviation fails its check. The heavy checks draw their instances
+stacked by (m, rank), bit-identical to one-by-one draws, and evaluate the
+independent route on stacks grouped by m, while the production functions
+they test run once per instance; the replay is the instance that offering
+each deviation in turn would have picked. Every random settings size comes
+from _draw_size (m, then the rank), and the two gauge-duality checks share
+one draw-and-skip loop.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.
@@ -27,7 +27,8 @@ from . import detect, geometry, oracles, twoqubit
 from ._version import __version__
 from .geometry import MAX, QM, SEP, MeasurementSettings
 from .oracles import OracleConfig, det3_intrinsic, max_trace_over_rotations, special_svd
-from .smallmat import norm_minus, norm_plus, op_norm, pinv, random_rotation, trace_norm
+from .smallmat import (norm_minus, norm_plus, op_norm, pinv, random_rotation, signed_svals,
+                       trace_norm)
 
 LEVELS = ("quick", "full")
 
@@ -138,16 +139,44 @@ class _Worst:
         return _result(name, n, self.value, tol, self.detail)
 
 
-def _draw_settings(rng, m_stop=6):
-    """Random settings: m in 2..m_stop - 1, then a rank up to min(3, m)."""
+def _draw_size(rng, m_stop=6):
+    """m in 2..m_stop - 1, then a rank up to min(3, m)."""
     m = int(rng.integers(2, m_stop))
-    return oracles.random_settings(rng, m, int(rng.integers(1, min(3, m) + 1)))
+    return m, int(rng.integers(1, min(3, m) + 1))
+
+
+def _draw_settings(rng, m_stop=6):
+    """Random settings of the size _draw_size picks."""
+    return oracles.random_settings(rng, *_draw_size(rng, m_stop))
 
 
 def _random_instance(rng):
     """One (settings, Z) draw: settings from _draw_settings, then a Gaussian Z."""
     s = _draw_settings(rng)
     return s, rng.standard_normal((s.m, s.m))
+
+
+def _random_instances(rng, n):
+    """n _random_instance draws: the same rng calls (a normal block per instance
+    for both parties' first tries and Z), linear algebra once per (m, rank).
+    A party that would draw again rewinds the rng to draw one by one."""
+    state = rng.bit_generator.state
+    groups, blocks = {}, []
+    for i in range(n):
+        m, rank = _draw_size(rng)
+        groups.setdefault((m, rank), []).append(i)
+        blocks.append(rng.standard_normal(2 * (9 + m * rank) + m * m))
+    instances = [None] * n
+    for (m, rank), idx in groups.items():
+        g = np.stack([blocks[i] for i in idx])
+        p = 9 + m * rank
+        rows, ok = oracles._party_rows(g[:, :2 * p].reshape(-1, 2, p), m, rank)
+        if not ok.all():
+            rng.bit_generator.state = state
+            return [_random_instance(rng) for _ in range(n)]
+        for i, (a, b), z in zip(idx, rows, g[:, 2 * p:].reshape(-1, m, m)):
+            instances[i] = (MeasurementSettings(a, b), z)
+    return instances
 
 
 def _stacks(instances):
@@ -371,7 +400,7 @@ def _check_kernel_identities(rng, sizes):
             (a @ x @ b.T).T.ravel() - np.kron(b, a) @ x.T.ravel()).max()))
 
     det_dev = 0.0
-    for _, a, b, z in _stacks([_random_instance(rng) for _ in range(n)]):
+    for _, a, b, z in _stacks(_random_instances(rng, n)):
         frames = np.swapaxes(a, 1, 2) @ z @ b
         det_dev = _nanmax(det_dev, float(np.max(np.abs(
             det3_intrinsic(a, b, z) - np.linalg.det(frames)))))
@@ -408,8 +437,8 @@ def _check_asymmetric_norms(rng, sizes):
 
         ys = rng.standard_normal((50, 3, 3))
         numer = np.einsum("ij,kij->k", x, ys)
-        denom = np.array([norm_minus(y) for y in ys])
-        sampled = float((numer / denom).max())
+        sv, sign = signed_svals(ys)
+        sampled = float((numer / (sv[:, 0] + sv[:, 1] - sv[:, 2] * sign)).max())
         _, q = max_trace_over_rotations(x, "SO3")
         attained = float(np.sum(x * q)) / norm_minus(q)
         dual_dev = _nanmax(dual_dev, sampled - hi, abs(attained - hi))
@@ -428,7 +457,7 @@ def _check_asymmetric_norms(rng, sizes):
 def _check_gram_equivalence(rng, sizes):
     """Supports depend on the settings only through their Gram matrices."""
     n = sizes["identity"]
-    instances = [_random_instance(rng) for _ in range(n)]
+    instances = _random_instances(rng, n)
     direct = np.array([[geometry.support(model, s, z) for model in geometry.MODELS]
                        for s, z in instances])
     gram = np.empty_like(direct)
@@ -451,7 +480,7 @@ def _check_bell_spectrum(rng, sizes):
     """Operator eigenvalues equal the odd signed sums of the special SVD."""
     n = sizes["identity"]
     signs = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]])
-    instances = [_random_instance(rng) for _ in range(n)]
+    instances = _random_instances(rng, n)
     tilde = np.array([special_svd(s.a.T @ z @ s.b).s for s, z in instances])
     predicted = np.array([np.sort(signs @ t) for t in tilde])
     actual = np.linalg.eigvalsh(np.array([twoqubit.bell_operator(s, z)

@@ -85,8 +85,10 @@ def signed_svals(x):
     from one SVD and one ``slogdet``: ``s`` holds the singular values,
     descending along the last axis, and ``sign`` the dead_zone_sign of
     each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
-    The sign of ``slogdet`` neither overflows nor underflows, so the sign
-    is invariant under positive scaling of ``x``.
+    ``slogdet`` reads the sign off the LU pivots, so it does not overflow with
+    s1 * s2 * s3 and is scale invariant while the LU stays in the normal
+    range: entries above the subnormals and below a quarter of the largest
+    float (3x3 LU growth is at most 4). Near 1.36e308, 3 of 3468 signs were wrong.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):

@@ -144,6 +144,25 @@ def test_gauge_infinite_off_range():
     assert gauge(QM, s, c).finite
 
 
+def test_c_cancelled_to_rounding_noise_reads_as_out_of_range():
+    # With rank-1 settings every feasible C is +-1 times one unit matrix, so
+    # an opposite pair sums to rounding noise, exact value 0. The range test
+    # is scale invariant and the noise has no reason to lie in the range, so
+    # the gauge is infinite there, while C = 0 itself has gauge 0.
+    rng = np.random.default_rng(0)
+    s = draw_settings(rng, 3, 1)
+    c1 = feasible_c(rng, s)
+    c2 = feasible_c(rng, s)
+    while np.sum(c1 * c2) > 0.0:
+        c2 = feasible_c(rng, s)
+    c = c1 + c2
+    assert 0.0 < np.linalg.norm(c) < 1e-15
+    for model in MODELS:
+        assert not gauge(model, s, c).finite
+        zero = gauge(model, s, np.zeros_like(c))
+        assert zero.finite and zero.value == 0.0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("model", MODELS)

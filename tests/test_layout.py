@@ -28,11 +28,13 @@ def _imports_and_definitions(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     imported, defined = set(), set()
     for node in ast.walk(tree):
+        # every component of a dotted name, so `import scipy.linalg` counts
+        # as importing both scipy and linalg
         if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[-1])
+            imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[-1] for alias in node.names)
+            imported.update(part for alias in node.names for part in alias.name.split("."))
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -45,6 +47,13 @@ def test_production_module_holds_no_verification_code(name):
     imported, defined = _imports_and_definitions(name)
     assert not imported & VERIFICATION
     assert not defined & (MOVED | DELETED)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_module_imports_numpy_only(name):
+    # pyproject.toml declares numpy alone; scipy, mpmath and Hypothesis may
+    # be installed, but only tests may reach them, through importorskip
+    assert not _imports_and_definitions(name)[0] & {"scipy", "mpmath", "hypothesis"}
 
 
 def test_oracles_holds_the_moved_names():

@@ -7,7 +7,7 @@ from corrsets.detect import (MAX_OVER_QM, QM_OVER_SEP, Z_CHSH, chsh_settings,
                              pauli_settings)
 from corrsets.geometry import (MAX, MODELS, QM, SEP, extreme_point, gauge,
                                membership, optimizer_z, support)
-from corrsets.oracles import (OracleConfig, fibonacci_sphere,
+from corrsets.oracles import (OracleConfig, _party_rows, fibonacci_sphere,
                               gauge_dual_oracle, hull_membership_oracle,
                               random_settings, ratio_scan, support_max_oracle,
                               support_qm_oracle, support_sep_oracle)
@@ -182,3 +182,28 @@ def test_random_settings_contract():
         random_settings(RNG, 2, 3)
     with pytest.raises(ValueError):
         random_settings(RNG, 3, 0)
+
+
+@pytest.mark.parametrize("m, rank", [(m, r) for m in (1, 2, 3, 4, 5) for r in (1, 2, 3) if r <= m])
+def test_stacked_party_rows_are_the_sequential_draws(m, rank):
+    # One stack of k tries, two parties each, against k random_settings
+    # calls on the same stream. This pins the bit-equality of the stacked
+    # qr, matmul, norm and svd with the per-matrix calls, which the battery's
+    # stacked draws rely on; a numpy or BLAS build that breaks it fails here.
+    k = 50
+    rng, ref = np.random.default_rng(100 * m + rank), np.random.default_rng(100 * m + rank)
+    rows, ok = _party_rows(rng.standard_normal((k, 2, 9 + m * rank)), m, rank)
+    assert rows.shape == (k, 2, m, 3) and ok.all()
+    for pair in rows:
+        s = random_settings(ref, m, rank)
+        assert np.array_equal(pair[0], s.a) and np.array_equal(pair[1], s.b)
+    assert rng.random() == ref.random()
+
+
+def test_party_rows_flag_short_rows_and_rank_loss():
+    g = np.random.default_rng(4).standard_normal((3, 9 + 3 * 2))
+    g[1, 9:11] = 0.0  # first row's coefficients: a zero row
+    g[2, 11:] = np.tile(g[2, 9:11], 2)  # three equal rows: rank 1, not 2
+    rows, ok = _party_rows(g, 3, 2)
+    assert ok.tolist() == [True, False, False]
+    assert np.all(np.isfinite(rows))

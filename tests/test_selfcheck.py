@@ -133,6 +133,47 @@ def test_draw_settings_keeps_the_rng_order(m_stop):
         assert rng.random() == ref.random()
 
 
+def _assert_instances_match_one_by_one_draws(seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = selfcheck._random_instances(rng, n)
+    assert len(got) == n
+    for (s, z), (t, y) in zip(got, [selfcheck._random_instance(ref) for _ in range(n)]):
+        assert np.array_equal(s.a, t.a) and np.array_equal(s.b, t.b)
+        assert np.array_equal(z, y)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 200])
+def test_random_instances_are_the_one_by_one_draws(n):
+    # the stacked draw keeps the bit stream, so the checks' instances and
+    # every rng draw after them stay as they were
+    for seed in range(8):
+        _assert_instances_match_one_by_one_draws(seed, n)
+
+
+def test_a_redraw_rewinds_the_rng_and_draws_one_by_one(monkeypatch):
+    real = oracles._party_rows
+    stacked_rejections, single_calls = [], []
+
+    def reject_a_stacked_block(g, m, rank):
+        rows, ok = real(g, m, rank)
+        if g.ndim == 1:
+            single_calls.append(m)
+        elif len(g) > 1 and not stacked_rejections:
+            stacked_rejections.append(m)
+            ok[len(g) // 2] = False
+        return rows, ok
+
+    monkeypatch.setattr(oracles, "_party_rows", reject_a_stacked_block)
+    for seed in range(4):
+        stacked_rejections.clear()
+        single_calls.clear()
+        _assert_instances_match_one_by_one_draws(seed, 40)
+        assert len(stacked_rejections) == 1
+        # the fallback plus the reference: two parties per instance, twice
+        assert len(single_calls) == 2 * 2 * 40
+
+
 def test_finite_gauge_draws_skip_and_keep_model_order(monkeypatch):
     real = geometry.gauge
     calls = []
