@@ -34,16 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import twoqubit
-from .smallmat import (
-    RANK_TOL,
-    norm_minus,
-    norm_plus,
-    op_norm,
-    pinv,
-    random_rotation,
-    svdvals,
-    trace_norm,
-)
+from .smallmat import (RANK_TOL, _op_norm, _signed_norm, _trace_norm, pinv, random_rotation,
+                       svdvals)
 
 SEP = "sep"
 QM = "qm"
@@ -73,9 +65,9 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 class MeasurementSettings:
     """Measurement directions of both parties, one unit row per setting.
 
-    Immutable: ``a`` and ``b`` are read-only copies of the input, so the
-    factorizations cached on first use (ranks, pseudoinverses, row-space
-    bases) cannot go stale.
+    Immutable: ``a`` and ``b`` are read-only copies of the input, so what is
+    cached on first use (ranks, pseudoinverses, the projectors A A^+ and
+    B B^+ onto the column spaces, row-space bases) cannot go stale.
     """
 
     a: np.ndarray
@@ -91,8 +83,8 @@ class MeasurementSettings:
         if a.shape[0] < 1:
             raise ValueError("need at least one measurement setting")
         for name, mat in (("A", a), ("B", b)):
-            norms = np.linalg.norm(mat, axis=1)
-            if not np.max(np.abs(norms - 1.0)) <= UNIT_ROW_TOL:
+            norms = np.sqrt((mat * mat).sum(axis=1))  # np.linalg.norm(mat, axis=1)
+            if not np.abs(norms - 1.0).max() <= UNIT_ROW_TOL:
                 raise ValueError(f"rows of {name} must be unit vectors")
         object.__setattr__(self, "a", _read_only(a))
         object.__setattr__(self, "b", _read_only(b))
@@ -123,6 +115,14 @@ class MeasurementSettings:
     def pinv_b(self) -> np.ndarray:
         """Pseudoinverse B^+ (3 x m), read-only."""
         return _read_only(pinv(self.b))
+
+    @cached_property
+    def projector_a(self) -> np.ndarray:
+        return _read_only(self.a @ self.pinv_a)
+
+    @cached_property
+    def projector_b(self) -> np.ndarray:
+        return _read_only(self.b @ self.pinv_b)
 
     @cached_property
     def row_basis_a(self) -> np.ndarray:
@@ -177,8 +177,8 @@ def planar_settings(alpha: float, beta: float, rng=None) -> MeasurementSettings:
     return MeasurementSettings(a, b)
 
 
-def _square_sum(x: np.ndarray) -> float:
-    """Sum of the squared entries of x; ValueError if any entry is non-finite.
+def _square_sum(x: np.ndarray, error: str = "input has non-finite entries") -> float:
+    """Sum of the squared entries of x; ValueError(error) on a non-finite entry.
 
     np.linalg.norm(x) squared, bit for bit (the same ddot), except that
     vdot raises no overflow warning. A non-finite entry makes the sum
@@ -187,7 +187,7 @@ def _square_sum(x: np.ndarray) -> float:
     flat = x.ravel(order="K")
     norm_sq = float(np.vdot(flat, flat))
     if not math.isfinite(norm_sq) and not np.all(np.isfinite(x)):
-        raise ValueError("input has non-finite entries")
+        raise ValueError(error)
     return norm_sq
 
 
@@ -197,7 +197,9 @@ def _frame(s: MeasurementSettings, z) -> np.ndarray:
     if z.shape != (s.m, s.m):
         raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
     _square_sum(z)
-    return s.a.T @ z @ s.b
+    frame = s.a.T @ z @ s.b
+    _square_sum(frame, "the frame A^T Z B overflowed")  # a finite Z can overflow it
+    return frame
 
 
 def support(model: str, s: MeasurementSettings, z) -> float:
@@ -205,14 +207,14 @@ def support(model: str, s: MeasurementSettings, z) -> float:
     _check_model(model)
     m = _frame(s, z)
     if model == SEP:
-        return op_norm(m)
+        return _op_norm(m)
     if model == QM:
-        return norm_minus(m)
-    return trace_norm(m)
+        return _signed_norm(m, -1.0)
+    return _trace_norm(m)
 
 
 def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
-    return float(np.linalg.norm(c - projector @ c))
+    return math.sqrt(_square_sum(c - projector @ c))
 
 
 def _gauge_core(s: MeasurementSettings, c):
@@ -236,12 +238,12 @@ def _gauge_core(s: MeasurementSettings, c):
         probe = np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])
         norm_sq = _square_sum(probe)
     norm_c = math.sqrt(norm_sq)
-    a_pinv, b_pinv = s.pinv_a, s.pinv_b
-    if _range_deficit(s.a @ a_pinv, probe) > RANGE_TOL * norm_c:
+    if _range_deficit(s.projector_a, probe) > RANGE_TOL * norm_c:
         return False, None, norm_c
-    if _range_deficit(s.b @ b_pinv, probe.T) > RANGE_TOL * norm_c:
+    if _range_deficit(s.projector_b, probe.T) > RANGE_TOL * norm_c:
         return False, None, norm_c
-    w = a_pinv @ c @ b_pinv.T
+    w = s.pinv_a @ c @ s.pinv_b.T
+    _square_sum(w, "the core A^+ C (B^T)^+ overflowed")  # a finite C can overflow it
     return True, w, norm_c
 
 
@@ -266,12 +268,12 @@ def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     if norm_c == 0.0:
         return GaugeValue(True, 0.0)
     if model == SEP:
-        return GaugeValue(True, trace_norm(w))
+        return GaugeValue(True, _trace_norm(w))
     if model == MAX:
-        return GaugeValue(True, op_norm(w))
+        return GaugeValue(True, _op_norm(w))
     if s.r == 3:
-        return GaugeValue(True, norm_plus(w))
-    return GaugeValue(True, op_norm(w))
+        return GaugeValue(True, _signed_norm(w, 1.0))
+    return GaugeValue(True, _op_norm(w))
 
 
 def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
@@ -293,7 +295,7 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     if model == SEP:
         core = u @ vt
     elif model == MAX or s.r <= 2:
-        core = np.outer(u[:, 0], vt[0])
+        core = u[:, :1] * vt[:1]
     else:
         eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
         core = u @ np.diag([1.0, 1.0, eta]) @ vt

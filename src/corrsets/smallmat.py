@@ -8,7 +8,7 @@ and Haar-distributed random rotations. The package has one
 signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
 (k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign
 (0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation. Kernels that only the verification
-battery uses live in oracles.
+battery uses live in oracles. Each norm is one private kernel, which geometry calls directly.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -35,6 +35,15 @@ def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
     return x
 
 
+def _as_finite_3x3(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):
+        raise ValueError(f"signed_svals needs a 3x3 matrix or a (k, 3, 3) stack, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
+    return x
+
+
 def svdvals(x) -> np.ndarray:
     """Singular values only, descending."""
     return np.linalg.svd(_as_finite_matrix(x), compute_uv=False)
@@ -49,15 +58,23 @@ def pinv(x) -> np.ndarray:
     return np.linalg.pinv(_as_finite_matrix(x), rcond=RANK_TOL)
 
 
+def _op_norm(x) -> float:
+    s = np.linalg.svd(x, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
+
+
+def _trace_norm(x) -> float:
+    return float(np.linalg.svd(x, compute_uv=False).sum())
+
+
 def op_norm(x) -> float:
     """Largest singular value."""
-    s = svdvals(x)
-    return float(s[0]) if s.size else 0.0
+    return _op_norm(_as_finite_matrix(x))
 
 
 def trace_norm(x) -> float:
     """Sum of singular values."""
-    return float(svdvals(x).sum())
+    return _trace_norm(_as_finite_matrix(x))
 
 
 def dead_zone_sign(det, sv):
@@ -78,6 +95,25 @@ def dead_zone_sign(det, sv):
     return np.where(sv[..., 2] <= _DEAD_ZONE * sv[..., 0], 0.0, np.sign(det))
 
 
+def _signed_svals(x):
+    s = np.linalg.svd(x, compute_uv=False)
+    sign, logdet = np.linalg.slogdet(x)
+    # A pivot overflowed or vanished. Exactly singular frames get here too, so
+    # only a sign outside the dead zone is redone; the scalar test is cheap.
+    if not (np.isfinite(logdet).all() if x.ndim == 3 else abs(logdet) < np.inf):
+        redo = ~np.isfinite(logdet) & (s[..., 2] > _DEAD_ZONE * s[..., 0])
+        if redo.any():
+            top = np.frexp(np.abs(x).max(axis=(-2, -1)))[1][..., None, None]
+            sign = np.where(redo, np.linalg.slogdet(np.ldexp(x, -top))[0], sign)
+    return s, dead_zone_sign(sign, s)
+
+
+def _signed_norm(x, flip: float) -> float:
+    """s1 + s2 + flip * s3 * sgn(det x): norm_plus for flip = 1, norm_minus for -1."""
+    s, sign = _signed_svals(x)
+    return float(s[0] + s[1] + s[2] * (flip * sign))
+
+
 def signed_svals(x):
     """Singular values and dead-zoned determinant sign of 3x3 matrices.
 
@@ -86,29 +122,21 @@ def signed_svals(x):
     descending along the last axis, and ``sign`` the dead_zone_sign of
     each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
     ``slogdet`` reads the sign off the LU pivots, so it does not overflow with
-    s1 * s2 * s3 and is scale invariant while the LU stays in the normal
-    range: entries above the subnormals and below a quarter of the largest
-    float (3x3 LU growth is at most 4). Near 1.36e308, 3 of 3468 signs were wrong.
+    s1 * s2 * s3, but near the top of the float range a pivot can. Where
+    log|det| is not finite outside the dead zone, the sign is taken again on
+    the matrix scaled exactly by a power of two, its largest entry in [0.5, 1).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-2:] != (3, 3):
-        raise ValueError(f"signed_svals needs a 3x3 matrix or a (k, 3, 3) stack, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input has non-finite entries")
-    s = np.linalg.svd(x, compute_uv=False)
-    return s, dead_zone_sign(np.linalg.slogdet(x)[0], s)
+    return _signed_svals(_as_finite_3x3(x))
 
 
 def norm_plus(x) -> float:
     """s1 + s2 + s3 * sgn(det x) for a 3x3 matrix."""
-    s, sign = signed_svals(x)
-    return float(s[0] + s[1] + s[2] * sign)
+    return _signed_norm(_as_finite_3x3(x), 1.0)
 
 
 def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
-    s, sign = signed_svals(x)
-    return float(s[0] + s[1] - s[2] * sign)
+    return _signed_norm(_as_finite_3x3(x), -1.0)
 
 
 def random_rotation(rng, component: str = "SO3") -> np.ndarray:

@@ -518,6 +518,27 @@ def test_nonfinite_literal_names_its_key(capsys, tmp_path, literal, key):
         assert err == f"error: {key} must hold finite numbers only\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                            "ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_overflowing_frame_or_core_exits_2_and_says_so(capsys, tmp_path):
+    """Finite entries whose frame A^T Z B or core A^+ C (B^T)^+ overflows:
+    the error names that matrix, not the input."""
+    t = 1e-9
+    cases = {
+        "support": ({"A": [[1, 0, 0], [1, 0, 0]], "B": [[1, 0, 0], [1, 0, 0]],
+                     "Z": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}, "frame A^T Z B"),
+        "gauge": ({"A": [[1, 0, 0], [np.cos(t), np.sin(t), 0]], "B": [[1, 0, 0], [0, 1, 0]],
+                   "C": [[1e300, -1e300], [1e300, 1e300]]}, "core A^+ C (B^T)^+"),
+    }
+    for command, (scenario, matrix) in cases.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(scenario))
+        for model in ("sep", "qm", "max"):
+            rc, out, err = run(capsys, command, "--model", model, "--file", str(path))
+            assert (rc, out) == (2, ""), (command, model)
+            assert err == f"error: the {matrix} overflowed\n"
+
+
 def test_deeply_nested_scenario_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"Z": ' + "[" * 100_000 + "]" * 100_000 + "}")

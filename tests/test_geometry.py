@@ -5,11 +5,12 @@ import pytest
 
 from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
 from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
-                               MeasurementSettings, correlation_matrix,
+                               MeasurementSettings, _range_deficit, correlation_matrix,
                                extreme_point, gauge, membership, optimizer_z,
                                planar_settings, support)
 from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
                               random_settings, support_m2_closed_form)
+from corrsets.smallmat import norm_minus, norm_plus, op_norm, trace_norm
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -28,6 +29,25 @@ def test_settings_validation():
     assert s.m == 3 and s.r == 3
     flat = planar_settings(0.8, 1.1)
     assert flat.m == 2 and flat.r == 2
+
+
+def test_settings_row_check_is_the_row_norm_test():
+    """The row check sums the squares itself; that is np.linalg.norm(rows,
+    axis=1) bit for bit, so the same rows pass and fail as with it."""
+    rng = np.random.default_rng(71)
+    for m in range(1, 6):
+        rows = rng.standard_normal((m, 3))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        assert np.array_equal(np.sqrt((rows * rows).sum(axis=1)), np.linalg.norm(rows, axis=1))
+        MeasurementSettings(rows, rows)
+        for scale, ok in ((1 + 0.9e-9, True), (1 + 1.1e-9, False), (1 - 1.1e-9, False)):
+            scaled = rows.copy()
+            scaled[-1] *= scale
+            if ok:
+                MeasurementSettings(scaled, rows)
+            else:
+                with pytest.raises(ValueError, match="unit vectors"):
+                    MeasurementSettings(rows, scaled)
 
 
 def test_settings_reject_nan_rows():
@@ -400,3 +420,107 @@ def test_rho_max_sits_at_three():
     assert np.isclose(gauge(QM, s, c).value, 3.0)
     assert membership(MAX, s, c)
     assert not membership(QM, s, c)
+
+
+def _settings_of_every_rank(rng):
+    """Seeded settings for every (m, rank), m = 1..5, and the named settings,
+    whose frames and cores hold exact zeros."""
+    cases = [pauli_settings(), chsh_settings()]
+    for m in range(1, 6):
+        cases += [draw_settings(rng, m, rank) for rank in range(1, min(3, m) + 1)]
+    return cases
+
+
+def test_support_and_gauge_are_the_checked_norms_of_the_formed_matrix():
+    """geometry skips the wrappers' re-check of the frame and the core, and
+    nothing else: every value is the checked smallmat norm of the explicitly
+    formed matrix, bit for bit."""
+    rng = np.random.default_rng(53)
+    for s in _settings_of_every_rank(rng):
+        zs = [np.eye(s.m), np.zeros((s.m, s.m))] + [rng.standard_normal((s.m, s.m))
+                                                  for _ in range(5)]
+        cs = [s.a @ s.b.T] + [feasible_c(rng, s) for _ in range(5)]
+        if s.m == 2:
+            zs.append(Z_CHSH)
+        for z in zs:
+            frame = s.a.T @ z @ s.b
+            assert support(SEP, s, z) == op_norm(frame)
+            assert support(QM, s, z) == norm_minus(frame)
+            assert support(MAX, s, z) == trace_norm(frame)
+        for c in cs:
+            w = s.pinv_a @ c @ s.pinv_b.T
+            assert gauge(SEP, s, c).value == trace_norm(w)
+            assert gauge(MAX, s, c).value == op_norm(w)
+            assert gauge(QM, s, c).value == (norm_plus(w) if s.r == 3 else op_norm(w))
+
+
+def test_range_deficit_is_the_frobenius_norm_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for s in _settings_of_every_rank(rng):
+        for _ in range(20):
+            c = rng.standard_normal((s.m, s.m))
+            for projector, probe in ((s.projector_a, c), (s.projector_b, c.T)):
+                assert _range_deficit(projector, probe) == float(
+                    np.linalg.norm(probe - projector @ probe))
+
+
+def test_range_projectors_are_cached_and_read_only():
+    rng = np.random.default_rng(61)
+    for s in _settings_of_every_rank(rng):
+        for projector, rows, pinv in ((s.projector_a, s.a, s.pinv_a),
+                                      (s.projector_b, s.b, s.pinv_b)):
+            assert np.array_equal(projector, rows @ pinv)
+            assert not projector.flags.writeable
+            with pytest.raises(ValueError):
+                projector[0, 0] = 2.0
+        assert s.projector_a is s.projector_a and s.projector_b is s.projector_b
+
+
+def test_optimizer_z_top_dyad_is_the_outer_product():
+    """For max, and for qm below full rank, the optimizer is built from the
+    top singular pair of W; the broadcast product is np.outer bit for bit."""
+    rng = np.random.default_rng(67)
+    checked = 0
+    for s in _settings_of_every_rank(rng):
+        for _ in range(5):
+            c = feasible_c(rng, s)
+            u, _, vt = np.linalg.svd(s.pinv_a @ c @ s.pinv_b.T)
+            expected = s.pinv_a.T @ np.outer(u[:, 0], vt[0]) @ s.pinv_b
+            for model in (MAX, QM) if s.r <= 2 else (MAX,):
+                assert np.array_equal(optimizer_z(model, s, c), expected)
+                checked += 1
+    assert checked > 100
+
+
+def _nearly_collinear_settings():
+    t = 1e-9
+    a = np.array([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0]])
+    return MeasurementSettings(a, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_finite_c_whose_core_overflows_names_the_overflow(model):
+    """A^+ has entries near 1e9, so a finite C near 1e300 in range overflows
+    W = A^+ C (B^T)^+. The error names the core, not the input; optimizer_z
+    raised numpy's LinAlgError from its SVD before."""
+    s = _nearly_collinear_settings()
+    assert s.r == 2
+    c = 1e300 * np.array([[1.0, -1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (gauge, optimizer_z):
+            with pytest.raises(ValueError, match=r"core A\^\+ C \(B\^T\)\^\+ overflowed"):
+                fn(model, s, c)
+    assert gauge(model, s, c * 1e-300).finite
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_finite_z_whose_frame_overflows_names_the_overflow(model):
+    """Two equal rows per party add the four entries of Z into one frame
+    entry, so Z = 1.7e308 everywhere overflows A^T Z B."""
+    rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    s = MeasurementSettings(rows, rows)
+    z = np.full((2, 2), 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"frame A\^T Z B overflowed"):
+            support(model, s, z)
+    assert support(model, s, z / 4) == pytest.approx(1.7e308, rel=1e-15)

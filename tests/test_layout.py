@@ -86,3 +86,11 @@ def test_cli_builds_its_parser_lazily_and_dispatches_by_name():
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id == "build_parser" for n in ast.walk(main))
+
+
+def test_geometry_calls_the_unchecked_norm_kernels():
+    # geometry checks each frame and core once, after forming it; a checked
+    # wrapper would check it a second time.
+    imported, _ = _imports_and_definitions("geometry")
+    assert not imported & {"op_norm", "trace_norm", "norm_plus", "norm_minus", "signed_svals"}
+    assert {"_op_norm", "_trace_norm", "_signed_norm"} <= imported

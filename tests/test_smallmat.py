@@ -373,3 +373,38 @@ def test_rank_tol_truncation():
 
 def test_eps_constant_sane():
     assert 0.0 < smallmat.EPS < 1e-12
+
+
+def _exact_det_sign(x):
+    """Sign of the exact determinant of a float 3x3 matrix: every float is an
+    integer multiple of 2^-1074, so the cofactor expansion runs on integers."""
+    a = [[n * (2 ** 1074 // d) for n, d in (v.as_integer_ratio() for v in row)]
+         for row in x.tolist()]
+    det = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+           - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+           + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    return (det > 0) - (det < 0)
+
+
+def test_signed_svals_sign_is_exact_near_the_top_of_the_float_range():
+    """Frames of repeated-row settings with Z entries up to 1.7e308: where
+    slogdet's pivots overflow, its sign can be wrong (3 of these 10,000 draws
+    were, each with log|det| = inf or nan), so the sign is taken again on the
+    frame scaled by a power of two. Every nonzero sign, one matrix at a time
+    and stacked, is the sign of the exact determinant."""
+    rows = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, -0.8],
+                     [0.6, 0.8, 0.0], [0.0, 1.0, 0.0]])
+    values = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-300, -1e-300, 1e-160, -1e-160,
+                       1e160, 1e300, -1e300, 1.7e308])
+    zs = np.random.default_rng(0).choice(values, size=(10_000, 5, 5))
+    with np.errstate(all="ignore"):
+        frames = rows.T @ zs @ rows
+        frames = frames[np.isfinite(frames).all(axis=(1, 2))]
+        _, signs = signed_svals(frames)
+        redone = ~np.isfinite(np.linalg.slogdet(frames)[1])
+        singles = [signed_svals(x)[1] for x in frames]
+    assert np.array_equal(signs, singles)
+    checked = np.flatnonzero(signs)
+    assert checked.size > 1000 and np.count_nonzero(redone[checked]) >= 10
+    assert [_exact_det_sign(frames[i]) for i in checked] == list(signs[checked])
+    assert signed_svals(np.zeros((0, 3, 3)))[1].shape == (0,)
