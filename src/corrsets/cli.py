@@ -24,8 +24,14 @@ json payload, the csv header and the text footer, and their results are
 the same at every seed.
 
 `support` and `gauge` print the singular values and determinant sign of the
-frame or core behind the value. Sign 0 means it is singular within rounding
-(s3 <= 8 eps s1, as at every rank r < 3), so it has no orientation.
+frame or core behind the value, from the same factorization the value was
+read from. Sign 0 means it is singular within rounding (s3 <= 8 eps s1, as
+at every rank r < 3), so it has no orientation. The gauge of a C outside
+the settings' ranges is infinite; its report still shows the core.
+
+Commands run with numpy's overflow and invalid-value warnings off: a frame
+or core that overflows is caught by its own check, so an input error writes
+exactly one `error:` line to stderr and no numpy warning.
 
 `verify --format json` writes a non-finite worst deviation (a NaN, which
 fails its check) as null, so the document stays strict JSON; the text report
@@ -48,7 +54,7 @@ from . import detect, geometry, selfcheck, twoqubit
 from ._version import __version__
 from .geometry import MeasurementSettings
 # pinv is unused here; bench/test_bench.py checks that its tracer rebinds cli.pinv.
-from .smallmat import pinv, signed_svals  # noqa: F401
+from .smallmat import pinv  # noqa: F401
 
 _ROW_REJECT_TOL = 1e-3
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
@@ -212,13 +218,12 @@ def _matrix_text(mat: np.ndarray, indent: str = "  ") -> str:
     return "\n".join(indent + " ".join(_fmt(v) for v in row) for row in mat)
 
 
-def _spectral_report(args, scenario: Scenario, label: str, mat, value_repr: str,
+def _spectral_report(args, scenario: Scenario, label: str, spectrum, value_repr: str,
                      **fields) -> int:
     """Report a support or gauge value with the singular values and the
     determinant sign of the 3x3 matrix behind it (the frame or the core)."""
     s = scenario.settings
-    sv, sign = signed_svals(mat)
-    sign = float(sign)
+    sv, sign = spectrum.svals, spectrum.sign
     payload = dict(fields, command=args.command, model=args.model, scenario=scenario.name,
                    rank=s.r, **{f"{label}_singular_values": [float(x) for x in sv],
                                 f"{label}_det_sign": sign})
@@ -235,19 +240,16 @@ def _spectral_report(args, scenario: Scenario, label: str, mat, value_repr: str,
 
 def cmd_support(args) -> int:
     scenario = _resolve_scenario(args)
-    s = scenario.settings
-    z = scenario.coefficient()
-    value = geometry.support(args.model, s, z)
-    return _spectral_report(args, scenario, "frame", s.a.T @ z @ s.b, _fmt(value),
-                            value=value)
+    value, frame = geometry._support_spectrum(args.model, scenario.settings,
+                                              scenario.coefficient())
+    return _spectral_report(args, scenario, "frame", frame, _fmt(value), value=value)
 
 
 def cmd_gauge(args) -> int:
     scenario = _resolve_scenario(args)
-    s = scenario.settings
-    c = scenario.correlation()
-    g = geometry.gauge(args.model, s, c)
-    return _spectral_report(args, scenario, "core", s.pinv_a @ c @ s.pinv_b.T,
+    g, core = geometry._gauge_spectrum(args.model, scenario.settings, scenario.correlation(),
+                                       report=True)
+    return _spectral_report(args, scenario, "core", core,
                             _fmt(g.value) if g.finite else "infinite",
                             finite=g.finite, value=g.value if g.finite else None)
 
@@ -260,7 +262,7 @@ def cmd_witness(args) -> int:
         raise ValueError("no target state: pass --state or put one in the scenario file")
     c = geometry.correlation_matrix(state, s)
     report = detect.witness_report(args.model, s, c)
-    round_trip = float(np.sum(report.z_star * c)) / geometry.support(args.model, s, report.z_star)
+    round_trip = float(np.sum(report.z_star * c)) / report.support
     detectable = report.sensitivity > 1.0
     payload = {
         "command": "witness",
@@ -429,7 +431,8 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         # by name, so that callers who rebind cmd_* see the calls
-        return globals()[f"cmd_{args.command}"](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

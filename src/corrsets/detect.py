@@ -41,6 +41,7 @@ class WitnessReport:
     z_star: np.ndarray         # coefficient matrix behind it
     sensitivity: float         # gauge value of the target correlation
     p_crit: float              # white-noise fraction up to which detection works
+    support: float             # support of the model's body at z_star
 
 
 @dataclass
@@ -50,20 +51,21 @@ class RatioReport:
     maximizer_c: np.ndarray
 
 
-def entanglement_witness(s: MeasurementSettings, z) -> np.ndarray:
-    """I4 - S(Z) / support(sep, Z); nonnegative on every separable state."""
-    phi = geometry.support(SEP, s, z)
+def _witness(s: MeasurementSettings, z, phi: float) -> np.ndarray:
+    """I4 - S(Z) / phi, for phi the support of a body at Z."""
     if phi <= 0.0:
         raise ValueError("witness needs a coefficient matrix with positive support")
     return twoqubit.I4 - twoqubit.bell_operator(s, z) / phi
+
+
+def entanglement_witness(s: MeasurementSettings, z) -> np.ndarray:
+    """I4 - S(Z) / support(sep, Z); nonnegative on every separable state."""
+    return _witness(s, z, geometry.support(SEP, s, z))
 
 
 def bqs_witness(s: MeasurementSettings, z) -> np.ndarray:
     """I4 - S(Z) / support(qm, Z); nonnegative on every quantum state."""
-    phi = geometry.support(QM, s, z)
-    if phi <= 0.0:
-        raise ValueError("witness needs a coefficient matrix with positive support")
-    return twoqubit.I4 - twoqubit.bell_operator(s, z) / phi
+    return _witness(s, z, geometry.support(QM, s, z))
 
 
 def critical_noise(model: str, s: MeasurementSettings, c) -> float:
@@ -82,19 +84,23 @@ def _gauge_threshold(g: float) -> float:
 
 
 def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
-    """Bundle the optimal witness for a target correlation matrix."""
-    g = geometry.gauge(model, s, c)
+    """Bundle the optimal witness against the sep or qm body for a target
+    correlation matrix; the gauge and the optimizer share one core."""
+    if model not in (SEP, QM):
+        raise ValueError("witnesses are defined against the sep and qm bodies")
+    g, core = geometry._gauge_spectrum(model, s, c)
     if not g.finite:
         raise ValueError("target correlation has infinite gauge; no finite witness")
     if g.value <= 0.0:
         raise ValueError("target correlation vanishes; nothing to witness")
-    z_star = geometry.optimizer_z(model, s, c)
-    build = entanglement_witness if model == SEP else bqs_witness
+    z_star = geometry._optimizer(model, s, core.matrix)
+    phi = geometry.support(model, s, z_star)
     return WitnessReport(
-        witness=build(s, z_star),
+        witness=_witness(s, z_star, phi),
         z_star=z_star,
         sensitivity=g.value,
         p_crit=_gauge_threshold(g.value),
+        support=phi,
     )
 
 

@@ -22,7 +22,9 @@ The closed forms for m = 2 in the Gram angles and the Gram-picture support,
 second routes to the same values, live with the other verification routes
 in oracles.
 
-Everything is deterministic and allocation-light; matrices stay small.
+Each support or gauge value is read off one private spectral record of its
+frame or core, which the command line prints without factoring the matrix
+again. Everything is deterministic and allocation-light; matrices stay small.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import twoqubit
-from .smallmat import (RANK_TOL, _op_norm, _signed_norm, _trace_norm, pinv, random_rotation,
-                       svdvals)
+from .smallmat import (RANK_TOL, _det_sign, _op_norm, _signed_norm, _trace_norm, pinv,
+                       random_rotation, svdvals)
 
 SEP = "sep"
 QM = "qm"
@@ -65,83 +67,100 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 class MeasurementSettings:
     """Measurement directions of both parties, one unit row per setting.
 
-    Immutable: ``a`` and ``b`` are read-only copies of the input, so what is
-    cached on first use (ranks, pseudoinverses, the projectors A A^+ and
-    B B^+ onto the column spaces, row-space bases) cannot go stale.
+    Both parties live in one read-only (2, m, 3) stack, a copy of the input
+    built by the constructor, and ``a`` and ``b`` are views into it. One
+    unit-row check covers both. What is cached on first use comes from one
+    stacked call per kind, for both parties at once: the singular values
+    (ranks), the pseudoinverses, the projectors A A^+ and B B^+ onto the
+    column spaces, and the row-space bases. The per-party attributes are
+    read-only views into those stacks, and nothing can go stale.
     """
 
     a: np.ndarray
     b: np.ndarray
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
         if a.ndim != 2 or a.shape[1] != 3:
             raise ValueError(f"A must be m x 3, got {a.shape}")
         if b.shape != a.shape:
             raise ValueError(f"B must match A's shape {a.shape}, got {b.shape}")
         if a.shape[0] < 1:
             raise ValueError("need at least one measurement setting")
-        for name, mat in (("A", a), ("B", b)):
-            norms = np.sqrt((mat * mat).sum(axis=1))  # np.linalg.norm(mat, axis=1)
-            if not np.abs(norms - 1.0).max() <= UNIT_ROW_TOL:
-                raise ValueError(f"rows of {name} must be unit vectors")
-        object.__setattr__(self, "a", _read_only(a))
-        object.__setattr__(self, "b", _read_only(b))
+        stack = _read_only(np.array((a, b)))
+        norms = np.sqrt((stack * stack).sum(axis=2))  # np.linalg.norm(stack, axis=2)
+        bad = ~(np.abs(norms - 1.0) <= UNIT_ROW_TOL)
+        if bad.any():
+            raise ValueError(f"rows of {'A' if bad[0].any() else 'B'} must be unit vectors")
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "a", stack[0])
+        object.__setattr__(self, "b", stack[1])
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.a.shape[0]
 
     @cached_property
+    def _ranks(self) -> tuple[int, int]:
+        # Strict inequality so values sitting exactly at the cutoff resolve
+        # toward the lower rank. Unit rows make s1 >= 1.
+        s = svdvals(self._stack)
+        return tuple(int(k) for k in (s > RANK_TOL * s[:, :1]).sum(axis=1))
+
+    @cached_property
     def rank_a(self) -> int:
-        return _numerical_rank(self.a)
+        return self._ranks[0]
 
     @cached_property
     def rank_b(self) -> int:
-        return _numerical_rank(self.b)
+        return self._ranks[1]
 
-    @property
+    @cached_property
     def r(self) -> int:
         """min rank of the two setting matrices; controls which sets coincide."""
         return min(self.rank_a, self.rank_b)
 
     @cached_property
+    def _pinvs(self) -> np.ndarray:
+        return _read_only(pinv(self._stack))
+
+    @cached_property
     def pinv_a(self) -> np.ndarray:
         """Pseudoinverse A^+ (3 x m), read-only."""
-        return _read_only(pinv(self.a))
+        return self._pinvs[0]
 
     @cached_property
     def pinv_b(self) -> np.ndarray:
         """Pseudoinverse B^+ (3 x m), read-only."""
-        return _read_only(pinv(self.b))
+        return self._pinvs[1]
+
+    @cached_property
+    def _projectors(self) -> np.ndarray:
+        return _read_only(self._stack @ self._pinvs)
 
     @cached_property
     def projector_a(self) -> np.ndarray:
-        return _read_only(self.a @ self.pinv_a)
+        return self._projectors[0]
 
     @cached_property
     def projector_b(self) -> np.ndarray:
-        return _read_only(self.b @ self.pinv_b)
+        return self._projectors[1]
+
+    @cached_property
+    def _row_bases(self) -> np.ndarray:
+        return _read_only(np.linalg.svd(self._stack, full_matrices=True)[2])
 
     @cached_property
     def row_basis_a(self) -> np.ndarray:
         """Orthogonal 3x3 basis whose leading columns span the row space of A."""
-        return _read_only(np.linalg.svd(self.a, full_matrices=True)[2].T)
+        return self._row_bases[0].T
 
     @cached_property
     def row_basis_b(self) -> np.ndarray:
         """Orthogonal 3x3 basis whose leading columns span the row space of B."""
-        return _read_only(np.linalg.svd(self.b, full_matrices=True)[2].T)
-
-
-def _numerical_rank(x) -> int:
-    # Strict inequality so values sitting exactly at the cutoff resolve
-    # toward the lower rank.
-    s = svdvals(x)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+        return self._row_bases[1].T
 
 
 @dataclass(frozen=True)
@@ -202,24 +221,52 @@ def _frame(s: MeasurementSettings, z) -> np.ndarray:
     return frame
 
 
+class _Spectrum:
+    """A frame or core W with its singular values, descending, and the
+    dead-zoned sign of its determinant, taken on first read and kept.
+
+    One SVD serves both a support or gauge value and a report of the
+    spectrum behind it; sep and max values take no determinant.
+    """
+
+    __slots__ = ("matrix", "svals", "_sign")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.svals = np.linalg.svd(matrix, compute_uv=False)
+        self._sign = None
+
+    @property
+    def sign(self) -> float:
+        if self._sign is None:
+            self._sign = float(_det_sign(self.matrix, self.svals))
+        return self._sign
+
+
+def _support_spectrum(model: str, s: MeasurementSettings, z) -> tuple[float, _Spectrum]:
+    """support(model, s, z) and the spectrum of the frame it was read from."""
+    _check_model(model)
+    frame = _Spectrum(_frame(s, z))
+    if model == SEP:
+        return _op_norm(frame.svals), frame
+    if model == QM:
+        return _signed_norm(frame.svals, frame.sign, -1.0), frame
+    return _trace_norm(frame.svals), frame
+
+
 def support(model: str, s: MeasurementSettings, z) -> float:
     """Support function of the model's correlation body at Z."""
-    _check_model(model)
-    m = _frame(s, z)
-    if model == SEP:
-        return _op_norm(m)
-    if model == QM:
-        return _signed_norm(m, -1.0)
-    return _trace_norm(m)
+    return _support_spectrum(model, s, z)[0]
 
 
 def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
     return math.sqrt(_square_sum(c - projector @ c))
 
 
-def _gauge_core(s: MeasurementSettings, c):
+def _gauge_core(s: MeasurementSettings, c, report: bool = False):
     """Range check plus W = A^+ C (B.T)^+; returns (finite, W, norm_c).
 
+    W is None when C is out of range, unless ``report`` asks for it anyway.
     norm_c is the Frobenius norm of C, or of C scaled by a power of two
     when its square lies outside _NORM_SQ_RANGE; either way it is zero
     exactly when C is.
@@ -238,13 +285,34 @@ def _gauge_core(s: MeasurementSettings, c):
         probe = np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])
         norm_sq = _square_sum(probe)
     norm_c = math.sqrt(norm_sq)
-    if _range_deficit(s.projector_a, probe) > RANGE_TOL * norm_c:
-        return False, None, norm_c
-    if _range_deficit(s.projector_b, probe.T) > RANGE_TOL * norm_c:
+    finite = not (_range_deficit(s.projector_a, probe) > RANGE_TOL * norm_c
+                  or _range_deficit(s.projector_b, probe.T) > RANGE_TOL * norm_c)
+    if not (finite or report):
         return False, None, norm_c
     w = s.pinv_a @ c @ s.pinv_b.T
     _square_sum(w, "the core A^+ C (B^T)^+ overflowed")  # a finite C can overflow it
-    return True, w, norm_c
+    return finite, w, norm_c
+
+
+def _gauge_spectrum(model: str, s: MeasurementSettings, c,
+                    report: bool = False) -> tuple[GaugeValue, _Spectrum | None]:
+    """gauge(model, s, c) and the spectrum of the core W it was read from.
+
+    Out of range the gauge reads no core: the spectrum is None, or with
+    ``report`` the spectrum of W formed anyway, for a report to print.
+    """
+    _check_model(model)
+    finite, w, norm_c = _gauge_core(s, c, report)
+    core = None if w is None else _Spectrum(w)
+    if not finite:
+        return GaugeValue(False), core
+    if norm_c == 0.0:
+        return GaugeValue(True, 0.0), core
+    if model == SEP:
+        return GaugeValue(True, _trace_norm(core.svals)), core
+    if model == QM and s.r == 3:
+        return GaugeValue(True, _signed_norm(core.svals, core.sign, 1.0)), core
+    return GaugeValue(True, _op_norm(core.svals)), core
 
 
 def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
@@ -261,19 +329,20 @@ def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     (say two opposite correlation matrices of rank-1 settings, summed) reads
     as out of range: its gauge is infinite, although C = 0 has gauge 0.
     """
-    _check_model(model)
-    finite, w, norm_c = _gauge_core(s, c)
-    if not finite:
-        return GaugeValue(False)
-    if norm_c == 0.0:
-        return GaugeValue(True, 0.0)
+    return _gauge_spectrum(model, s, c)[0]
+
+
+def _optimizer(model: str, s: MeasurementSettings, w: np.ndarray) -> np.ndarray:
+    """optimizer_z from the core W of an in-range, nonzero C."""
+    u, _, vt = np.linalg.svd(w)
     if model == SEP:
-        return GaugeValue(True, _trace_norm(w))
-    if model == MAX:
-        return GaugeValue(True, _op_norm(w))
-    if s.r == 3:
-        return GaugeValue(True, _signed_norm(w, 1.0))
-    return GaugeValue(True, _op_norm(w))
+        core = u @ vt
+    elif model == MAX or s.r <= 2:
+        core = u[:, :1] * vt[:1]
+    else:
+        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
+        core = u @ np.diag([1.0, 1.0, eta]) @ vt
+    return s.pinv_a.T @ core @ s.pinv_b
 
 
 def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
@@ -291,15 +360,7 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
         raise ValueError("gauge is infinite; no optimizer exists")
     if norm_c == 0.0:
         raise ValueError("gauge is zero at C = 0; the duality ratio is undefined")
-    u, _, vt = np.linalg.svd(w)
-    if model == SEP:
-        core = u @ vt
-    elif model == MAX or s.r <= 2:
-        core = u[:, :1] * vt[:1]
-    else:
-        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
-        core = u @ np.diag([1.0, 1.0, eta]) @ vt
-    return s.pinv_a.T @ core @ s.pinv_b
+    return _optimizer(model, s, w)
 
 
 def membership(model: str, s: MeasurementSettings, c, tol: float = 1e-9) -> bool:

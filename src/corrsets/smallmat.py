@@ -8,7 +8,9 @@ and Haar-distributed random rotations. The package has one
 signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
 (k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign
 (0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation. Kernels that only the verification
-battery uses live in oracles. Each norm is one private kernel, which geometry calls directly.
+battery uses live in oracles. Each norm is one private kernel on singular values
+already taken, which geometry calls directly; svdvals and pinv also take
+(k, p, q) stacks.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -26,10 +28,11 @@ RANK_TOL = 1e-10
 _DEAD_ZONE = 8 * EPS  # relative to s1; see dead_zone_sign
 
 
-def _as_finite_matrix(x, name: str = "input") -> np.ndarray:
+def _as_finite_matrix(x, name: str = "input", stack: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {x.shape}")
+    if x.ndim != 2 and not (stack and x.ndim == 3):
+        shape = "2-d matrix or a (k, p, q) stack" if stack else "2-d matrix"
+        raise ValueError(f"{name} must be a {shape}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite entries")
     return x
@@ -44,37 +47,44 @@ def _as_finite_3x3(x) -> np.ndarray:
     return x
 
 
+def _svals(x) -> np.ndarray:
+    return np.linalg.svd(x, compute_uv=False)
+
+
 def svdvals(x) -> np.ndarray:
-    """Singular values only, descending."""
-    return np.linalg.svd(_as_finite_matrix(x), compute_uv=False)
+    """Singular values only, descending, of a matrix or each matrix of a
+    (k, p, q) stack."""
+    return _svals(_as_finite_matrix(x, stack=True))
 
 
 def pinv(x) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
+    """Moore-Penrose pseudoinverse of a matrix or each matrix of a (k, p, q) stack.
 
-    Singular values below ``RANK_TOL`` times the largest one are truncated
-    to zero, so nearly rank-deficient inputs invert stably.
+    Singular values below ``RANK_TOL`` times the largest one of the same
+    matrix are truncated to zero, so nearly rank-deficient inputs invert
+    stably.
     """
-    return np.linalg.pinv(_as_finite_matrix(x), rcond=RANK_TOL)
+    return np.linalg.pinv(_as_finite_matrix(x, stack=True), rcond=RANK_TOL)
 
 
-def _op_norm(x) -> float:
-    s = np.linalg.svd(x, compute_uv=False)
+# The norm kernels read singular values s, descending, so that one SVD of a
+# matrix serves its norms and any report of its spectrum.
+def _op_norm(s) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _trace_norm(x) -> float:
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+def _trace_norm(s) -> float:
+    return float(s.sum())
 
 
 def op_norm(x) -> float:
     """Largest singular value."""
-    return _op_norm(_as_finite_matrix(x))
+    return _op_norm(_svals(_as_finite_matrix(x)))
 
 
 def trace_norm(x) -> float:
     """Sum of singular values."""
-    return _trace_norm(_as_finite_matrix(x))
+    return _trace_norm(_svals(_as_finite_matrix(x)))
 
 
 def dead_zone_sign(det, sv):
@@ -96,7 +106,12 @@ def dead_zone_sign(det, sv):
 
 
 def _signed_svals(x):
-    s = np.linalg.svd(x, compute_uv=False)
+    s = _svals(x)
+    return s, _det_sign(x, s)
+
+
+def _det_sign(x, s):
+    """dead_zone_sign of det x, given the singular values s of x."""
     sign, logdet = np.linalg.slogdet(x)
     # A pivot overflowed or vanished. Exactly singular frames get here too, so
     # only a sign outside the dead zone is redone; the scalar test is cheap.
@@ -105,12 +120,11 @@ def _signed_svals(x):
         if redo.any():
             top = np.frexp(np.abs(x).max(axis=(-2, -1)))[1][..., None, None]
             sign = np.where(redo, np.linalg.slogdet(np.ldexp(x, -top))[0], sign)
-    return s, dead_zone_sign(sign, s)
+    return dead_zone_sign(sign, s)
 
 
-def _signed_norm(x, flip: float) -> float:
-    """s1 + s2 + flip * s3 * sgn(det x): norm_plus for flip = 1, norm_minus for -1."""
-    s, sign = _signed_svals(x)
+def _signed_norm(s, sign, flip: float) -> float:
+    """s1 + s2 + flip * s3 * sign: norm_plus for flip = 1, norm_minus for -1."""
     return float(s[0] + s[1] + s[2] * (flip * sign))
 
 
@@ -131,12 +145,12 @@ def signed_svals(x):
 
 def norm_plus(x) -> float:
     """s1 + s2 + s3 * sgn(det x) for a 3x3 matrix."""
-    return _signed_norm(_as_finite_3x3(x), 1.0)
+    return _signed_norm(*_signed_svals(_as_finite_3x3(x)), 1.0)
 
 
 def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
-    return _signed_norm(_as_finite_3x3(x), -1.0)
+    return _signed_norm(*_signed_svals(_as_finite_3x3(x)), -1.0)
 
 
 def random_rotation(rng, component: str = "SO3") -> np.ndarray:

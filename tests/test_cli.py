@@ -539,6 +539,85 @@ def test_overflowing_frame_or_core_exits_2_and_says_so(capsys, tmp_path):
             assert err == f"error: the {matrix} overflowed\n"
 
 
+_OUT_OF_RANGE_OVERFLOW = {
+    # B's column space is span (1, 1); C's rows are not in it, so the gauge
+    # is infinite, and the report's core A^+ C (B^T)^+ overflows (A^+ ~ 1e9).
+    "A": [[1, 0, 0], [np.cos(1e-9), np.sin(1e-9), 0]], "B": [[1, 0, 0], [1, 0, 0]],
+    "C": [[1e300, -1.5e300], [1e300, 1.7e308]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", geometry.MODELS)
+def test_out_of_range_c_whose_core_overflows_names_the_core(capsys, tmp_path, model):
+    """The gauge is infinite without forming the core; the report forms it
+    through geometry, whose overflow check names it (the CLI once formed it
+    itself and said "input has non-finite entries", after numpy warnings)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_OUT_OF_RANGE_OVERFLOW))
+    s = cli.load_scenario(str(path))
+    assert not geometry.gauge(model, s.settings, s.c).finite
+    rc, out, err = run(capsys, "gauge", "--model", model, "--file", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: the core A^+ C (B^T)^+ overflowed\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_in_a_command_writes_one_error_line_and_no_warning(capsys, tmp_path):
+    """cli.main runs each command under np.errstate(over/invalid ignored):
+    an overflowing frame or core, in range or not, raises no numpy warning
+    (an error here) and stderr holds exactly the one error line."""
+    t = 1e-9
+    cases = [
+        ("support", {"A": [[1, 0, 0], [1, 0, 0]], "B": [[1, 0, 0], [1, 0, 0]],
+                     "Z": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}),
+        ("gauge", {"A": [[1, 0, 0], [np.cos(t), np.sin(t), 0]], "B": [[1, 0, 0], [0, 1, 0]],
+                   "C": [[1e300, -1e300], [1e300, 1e300]]}),
+        ("gauge", _OUT_OF_RANGE_OVERFLOW),
+    ]
+    before = np.geterr()
+    for k, (command, scenario) in enumerate(cases):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(scenario))
+        for model in geometry.MODELS:
+            rc, out, err = run(capsys, command, "--model", model, "--file", str(path))
+            assert (rc, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: the ")
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("model", geometry.MODELS)
+@pytest.mark.parametrize("command,formed", [("support", "_frame"), ("gauge", "_gauge_core")])
+def test_support_and_gauge_commands_form_one_matrix(capsys, monkeypatch, command, formed,
+                                                    model):
+    """The report prints the spectrum the value was read from: one frame or
+    core per command, and one SVD of it (the CLI once formed it again and
+    ran signed_svals on top)."""
+    calls = _counting(monkeypatch, geometry, formed)
+    real_svd, shapes = np.linalg.svd, []
+
+    def svd(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real_svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for scenario in ("chsh", "pauli3"):
+        rc, _, _ = run(capsys, command, "--model", model, "--scenario", scenario)
+        assert rc == 0
+    assert len(calls) == 2
+    assert shapes.count((3, 3)) == 2
+
+
+@pytest.mark.parametrize("model", ["sep", "qm"])
+def test_witness_forms_one_core_and_one_support(capsys, monkeypatch, model):
+    """witness_report reads the gauge and the optimizer off one core, and the
+    round trip reuses the report's support."""
+    cores = _counting(monkeypatch, geometry, "_gauge_core")
+    supports = _counting(monkeypatch, geometry, "support")
+    rc, out, _ = run(capsys, "witness", "--model", model, "--scenario", "chsh")
+    assert rc == 0 and "round-trip" in out
+    assert (len(cores), len(supports)) == (1, 1)
+
+
 def test_deeply_nested_scenario_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"Z": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -141,6 +141,24 @@ def test_witness_report_validation():
     s = pauli_settings()
     with pytest.raises(ValueError):
         witness_report(QM, s, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="sep and qm bodies"):
+        witness_report(MAX, s, np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("model", [SEP, QM])
+def test_witness_report_carries_the_support_of_its_optimizer(model):
+    """One gauge core feeds the gauge and the optimizer, and the report's
+    support is the one its witness was normalized by."""
+    rng = np.random.default_rng(89)
+    for m, rank in ((2, 2), (3, 3), (4, 2)):
+        s = random_settings(rng, m, rank)
+        c = s.a @ rng.standard_normal((3, 3)) @ s.b.T
+        rep = witness_report(model, s, c)
+        assert rep.sensitivity == gauge(model, s, c).value
+        assert np.array_equal(rep.z_star, optimizer_z(model, s, c))
+        assert rep.support == support(model, s, rep.z_star)
+        build = entanglement_witness if model == SEP else bqs_witness
+        assert np.array_equal(rep.witness, build(s, rep.z_star))
 
 
 def test_containment_radius_full_rank():

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from corrsets.detect import Z_CHSH, chsh_settings, pauli_settings
+from corrsets import cli
+from corrsets.detect import (Z_CHSH, chsh_settings, i3322_settings, pauli_settings,
+                             rotated_settings)
 from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
-                               MeasurementSettings, _range_deficit, correlation_matrix,
-                               extreme_point, gauge, membership, optimizer_z,
-                               planar_settings, support)
+                               MeasurementSettings, _gauge_spectrum, _range_deficit,
+                               _support_spectrum, correlation_matrix, extreme_point, gauge,
+                               membership, optimizer_z, planar_settings, support)
 from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
                               random_settings, support_m2_closed_form)
-from corrsets.smallmat import norm_minus, norm_plus, op_norm, trace_norm
+from corrsets.smallmat import RANK_TOL, norm_minus, norm_plus, op_norm, signed_svals, trace_norm
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -524,3 +526,125 @@ def test_finite_z_whose_frame_overflows_names_the_overflow(model):
         with pytest.raises(ValueError, match=r"frame A\^T Z B overflowed"):
             support(model, s, z)
     assert support(model, s, z / 4) == pytest.approx(1.7e308, rel=1e-15)
+
+
+def _party_factorizations(rows):
+    """What one party's cached data was when it came from per-party calls."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    p = np.linalg.pinv(rows, rcond=RANK_TOL)
+    return (int(np.sum(s > RANK_TOL * s[0])), p, rows @ p,
+            np.linalg.svd(rows, full_matrices=True)[2].T)
+
+
+def test_stacked_settings_factorizations_are_the_per_party_calls():
+    """Ranks, pseudoinverses, projectors and row bases come from one stacked
+    call per kind; pinned bit for bit against per-party numpy calls, so a
+    BLAS or LAPACK whose batched loop differs from its single calls shows."""
+    rng = np.random.default_rng(73)
+    cases = [pauli_settings(), chsh_settings(), rotated_settings(), i3322_settings()]
+    for m in range(1, 6):
+        cases += [draw_settings(rng, m, rank) for rank in range(1, min(3, m) + 1)
+                  for _ in range(30)]
+    for s in cases:
+        for (rank, p, proj, basis), cached in (
+                (_party_factorizations(np.array(s.a)),
+                 (s.rank_a, s.pinv_a, s.projector_a, s.row_basis_a)),
+                (_party_factorizations(np.array(s.b)),
+                 (s.rank_b, s.pinv_b, s.projector_b, s.row_basis_b))):
+            assert cached[0] == rank
+            for got, want in zip(cached[1:], (p, proj, basis)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_settings_hold_both_parties_in_one_read_only_stack():
+    rows_a, rows_b = np.eye(3), np.eye(3)[[2, 0, 1]]
+    s = MeasurementSettings(rows_a.tolist(), rows_b)
+    assert s.a.base is s.b.base and s.a.base is not None
+    assert s.a.base.shape == (2, 3, 3) and not s.a.base.flags.writeable
+    assert np.array_equal(s.a, rows_a) and np.array_equal(s.b, rows_b)
+    rows_b[0, 0] = 0.5
+    assert s.b[0, 0] == 0.0
+    for name in ("pinv_a", "pinv_b", "projector_a", "projector_b",
+                 "row_basis_a", "row_basis_b"):
+        first = getattr(s, name)
+        assert not first.flags.writeable
+        assert vars(s)[name] is first and getattr(s, name) is first  # cached, a dict hit
+
+
+def test_settings_row_check_names_the_party():
+    good, bad = np.eye(3), np.diag([1.0, 1.0, 1.1])
+    for a, b, name in ((bad, good, "A"), (good, bad, "B"), (bad, bad, "A")):
+        with pytest.raises(ValueError, match=f"rows of {name} must be unit vectors"):
+            MeasurementSettings(a, b)
+
+
+def _linalg_counter(monkeypatch):
+    """Counts numpy.linalg calls by kind; pinv's own SVD is not counted."""
+    calls = {"svdvals": [], "svd": [], "pinv": [], "slogdet": []}
+    real_svd, real_pinv, real_slogdet = np.linalg.svd, np.linalg.pinv, np.linalg.slogdet
+
+    def svd(x, *args, **kwargs):
+        calls["svd" if kwargs.get("compute_uv", True) else "svdvals"].append(np.shape(x))
+        return real_svd(x, *args, **kwargs)
+
+    def pinv(x, *args, **kwargs):
+        calls["pinv"].append(np.shape(x))
+        return real_pinv(x, *args, **kwargs)
+
+    def slogdet(x):
+        calls["slogdet"].append(np.shape(x))
+        return real_slogdet(x)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "pinv", pinv)
+    monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+    return calls
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("scenario", ["chsh", "pauli3", "b-rot", "i3322-opt"])
+def test_gauge_command_factorizes_its_fresh_settings_once(monkeypatch, capsys, scenario, model):
+    """A gauge command builds fresh settings: one values-only SVD of the
+    (2, m, 3) stack gives both ranks and one pinv call both pseudoinverses.
+    The core gets one values-only SVD and one slogdet, for the report's sign."""
+    calls = _linalg_counter(monkeypatch)
+    assert cli.main(["gauge", "--model", model, "--scenario", scenario]) == 0
+    capsys.readouterr()
+    m = 2 if scenario == "chsh" else 3
+    assert calls["pinv"] == [(2, m, 3)]
+    assert sorted(calls["svdvals"], key=len) == [(3, 3), (2, m, 3)]
+    assert (calls["svd"], calls["slogdet"]) == ([], [(3, 3)])
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_support_and_gauge_read_one_spectrum(monkeypatch, model):
+    """One SVD of the frame or core gives the value; sep and max take no
+    determinant, and the record's spectrum is the checked signed_svals."""
+    rng = np.random.default_rng(79)
+    for s in _settings_of_every_rank(rng):
+        assert s.r >= 1 and s.projector_b is not None  # factorize outside the count
+        z, c = rng.standard_normal((s.m, s.m)), feasible_c(rng, s)
+        calls = _linalg_counter(monkeypatch)
+        support(model, s, z)
+        gauge(model, s, c)
+        determinants = 2 if model == QM and s.r == 3 else 1 if model == QM else 0
+        assert (len(calls["svdvals"]), len(calls["slogdet"])) == (2, determinants)
+        monkeypatch.undo()
+        for (value, record), direct, matrix in (
+                (_support_spectrum(model, s, z), support(model, s, z), s.a.T @ z @ s.b),
+                (_gauge_spectrum(model, s, c), gauge(model, s, c), s.pinv_a @ c @ s.pinv_b.T)):
+            assert value == direct
+            sv, sign = signed_svals(matrix)
+            assert np.array_equal(record.svals, sv) and record.sign == float(sign)
+
+
+def test_out_of_range_gauge_forms_its_core_only_for_a_report():
+    rng = np.random.default_rng(97)
+    s = draw_settings(rng, 4, 2)
+    c = rng.standard_normal((4, 4))
+    for model in MODELS:
+        g, core = _gauge_spectrum(model, s, c)
+        assert not g.finite and core is None
+        g, core = _gauge_spectrum(model, s, c, report=True)
+        assert not g.finite
+        assert np.array_equal(core.matrix, s.pinv_a @ c @ s.pinv_b.T)

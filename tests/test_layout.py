@@ -21,7 +21,8 @@ MOVED = {"LEVI_CIVITA", "SpecialSvdResult", "special_svd", "max_trace_over_rotat
          "support_m2_closed_form", "gauge_m2_closed_form", "_cos_sin_m2", "_cross_norm",
          "_gram_2x2", "_skew_2x2", "DEGENERATE_ANGLE_TOL"}
 # Wrappers and test-only helpers that no module defines any more.
-DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports"}
+DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports",
+           "_numerical_rank"}
 
 
 def _imports_and_definitions(name):
@@ -94,3 +95,17 @@ def test_geometry_calls_the_unchecked_norm_kernels():
     imported, _ = _imports_and_definitions("geometry")
     assert not imported & {"op_norm", "trace_norm", "norm_plus", "norm_minus", "signed_svals"}
     assert {"_op_norm", "_trace_norm", "_signed_norm"} <= imported
+
+
+def test_cli_reports_the_spectrum_geometry_read():
+    # The support and gauge reports print the record their value came from;
+    # cli neither re-forms a frame or core nor factors one. cli.pinv and
+    # geometry.svdvals stay: bench/test_bench.py checks the tracer rebinds them.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported, _ = _imports_and_definitions("cli")
+    assert "signed_svals" not in imported and "pinv" in imported
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+    assert not {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {
+        "pinv_a", "pinv_b", "_frame", "_gauge_core"}
+    assert "svdvals" in _imports_and_definitions("geometry")[0]

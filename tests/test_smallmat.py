@@ -364,6 +364,34 @@ def test_svdvals_matches_svd():
     assert np.allclose(svdvals(x), np.linalg.svd(x, compute_uv=False))
 
 
+def test_stacked_svdvals_and_pinv_are_the_per_matrix_calls():
+    rng = np.random.default_rng(83)
+    for shape in ((4, 2, 3), (3, 5, 3), (2, 3, 3), (1, 3, 2), (0, 3, 3)):
+        x = rng.standard_normal(shape)
+        x[:, 0] = x[:, -1]  # rank-deficient members exercise the pinv cutoff
+        sv, p = svdvals(x), pinv(x)
+        assert sv.shape == shape[:1] + (min(shape[1:]),)
+        assert p.shape == shape[:1] + shape[:0:-1]
+        for k in range(shape[0]):
+            assert sv[k].tobytes() == svdvals(x[k]).tobytes()
+            assert p[k].tobytes() == pinv(x[k]).tobytes()
+            assert p[k].tobytes() == np.linalg.pinv(x[k], rcond=smallmat.RANK_TOL).tobytes()
+
+
+@pytest.mark.parametrize("fn", [svdvals, pinv])
+def test_stacked_kernels_reject_bad_input(fn):
+    for bad in (np.float64(1.0), np.ones(3), np.ones((2, 2, 2, 2))):
+        with pytest.raises(ValueError, match="must be a 2-d matrix or a"):
+            fn(bad)
+    for entry in (np.nan, np.inf):
+        x = np.ones((2, 3, 3))
+        x[1, 2, 0] = entry
+        with pytest.raises(ValueError, match="^input has non-finite entries$"):
+            fn(x)
+        with pytest.raises(ValueError, match="^input has non-finite entries$"):
+            fn(x[1])
+
+
 def test_rank_tol_truncation():
     x = np.diag([1.0, 1e-14, 0.0])
     xp = pinv(x)
