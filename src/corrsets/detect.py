@@ -85,15 +85,16 @@ def _gauge_threshold(g: float) -> float:
 
 def witness_report(model: str, s: MeasurementSettings, c) -> WitnessReport:
     """Bundle the optimal witness against the sep or qm body for a target
-    correlation matrix; the gauge and the optimizer share one core."""
+    correlation matrix; the gauge and the optimizer read one core record of
+    the settings."""
     if model not in (SEP, QM):
         raise ValueError("witnesses are defined against the sep and qm bodies")
-    g, core = geometry._gauge_spectrum(model, s, c)
+    g = geometry.gauge(model, s, c)
     if not g.finite:
         raise ValueError("target correlation has infinite gauge; no finite witness")
     if g.value <= 0.0:
         raise ValueError("target correlation vanishes; nothing to witness")
-    z_star = geometry._optimizer(model, s, core.matrix)
+    z_star = geometry.optimizer_z(model, s, c)
     phi = geometry.support(model, s, z_star)
     return WitnessReport(
         witness=_witness(s, z_star, phi),

@@ -24,7 +24,10 @@ in oracles.
 
 Each support or gauge value is read off one private spectral record of its
 frame or core, which the command line prints without factoring the matrix
-again. Everything is deterministic and allocation-light; matrices stay small.
+again. The settings object keeps the last frame record and the last core
+record it made, so the three models and the optimizer share one frame, one
+core and one values-only SVD per matrix (see MeasurementSettings).
+Everything is deterministic and allocation-light; matrices stay small.
 """
 
 from __future__ import annotations
@@ -74,11 +77,28 @@ class MeasurementSettings:
     (ranks), the pseudoinverses, the projectors A A^+ and B B^+ onto the
     column spaces, and the row-space bases. The per-party attributes are
     read-only views into those stacks, and nothing can go stale.
+
+    The object also keeps one slot for the spectral record of the last
+    frame A^T Z B it formed and one for the record of the last correlation
+    matrix C it range-tested (its verdict, its norm and, once needed, the
+    core). A slot holds (key, record), where the key is the input's bytes
+    after np.asarray(x, float), its shape and its strides; the shape is
+    checked before the key is compared. The strides are in the key because
+    BLAS may round a Fortran-ordered input differently from a C-ordered
+    one, so a value never depends on which call came first. A record holds
+    no reference to the input, only read-only arrays computed from it, so
+    an input mutated in place no longer matches its key and gets a fresh
+    record, bit-identical to one on a fresh settings object. A hit skips
+    the finiteness check of the input, since equal bytes passed it before.
+    Only the last matrix of each kind is kept: the reuse is the three
+    models, and the optimizer, called on one matrix.
     """
 
     a: np.ndarray
     b: np.ndarray
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _frame_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _core_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -163,7 +183,7 @@ class MeasurementSettings:
         return self._row_bases[1].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaugeValue:
     """Gauge function result; ``finite`` is False when no scaling works."""
 
@@ -210,11 +230,20 @@ def _square_sum(x: np.ndarray, error: str = "input has non-finite entries") -> f
     return norm_sq
 
 
-def _frame(s: MeasurementSettings, z) -> np.ndarray:
+def _checked_square(s: MeasurementSettings, x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (s.m, s.m):
+        raise ValueError(f"{what} matrix must be {s.m}x{s.m}, got {x.shape}")
+    return x
+
+
+def _key(x: np.ndarray) -> tuple:
+    """The record-slot key of a checked input (see MeasurementSettings)."""
+    return x.shape, x.strides, x.tobytes()
+
+
+def _frame(s: MeasurementSettings, z: np.ndarray) -> np.ndarray:
     """A.T Z B, the coefficient matrix pushed into Bloch coordinates."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (s.m, s.m):
-        raise ValueError(f"coefficient matrix must be {s.m}x{s.m}, got {z.shape}")
     _square_sum(z)
     frame = s.a.T @ z @ s.b
     _square_sum(frame, "the frame A^T Z B overflowed")  # a finite Z can overflow it
@@ -222,18 +251,19 @@ def _frame(s: MeasurementSettings, z) -> np.ndarray:
 
 
 class _Spectrum:
-    """A frame or core W with its singular values, descending, and the
-    dead-zoned sign of its determinant, taken on first read and kept.
+    """A read-only frame or core W with its singular values, descending, and
+    the dead-zoned sign of its determinant, taken on first read and kept.
 
-    One SVD serves both a support or gauge value and a report of the
-    spectrum behind it; sep and max values take no determinant.
+    One SVD serves the support or gauge values of all three models and a
+    report of the spectrum behind them; sep and max values take no
+    determinant.
     """
 
     __slots__ = ("matrix", "svals", "_sign")
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.svals = np.linalg.svd(matrix, compute_uv=False)
+        self.matrix = _read_only(matrix)
+        self.svals = _read_only(np.linalg.svd(matrix, compute_uv=False))
         self._sign = None
 
     @property
@@ -243,10 +273,22 @@ class _Spectrum:
         return self._sign
 
 
+def _frame_record(s: MeasurementSettings, z) -> _Spectrum:
+    """The spectrum of A.T Z B, from the settings' frame slot when Z matches."""
+    z = _checked_square(s, z, "coefficient")
+    key = _key(z)
+    slot = s._frame_slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    record = _Spectrum(_frame(s, z))
+    object.__setattr__(s, "_frame_slot", (key, record))
+    return record
+
+
 def _support_spectrum(model: str, s: MeasurementSettings, z) -> tuple[float, _Spectrum]:
     """support(model, s, z) and the spectrum of the frame it was read from."""
     _check_model(model)
-    frame = _Spectrum(_frame(s, z))
+    frame = _frame_record(s, z)
     if model == SEP:
         return _op_norm(frame.svals), frame
     if model == QM:
@@ -263,22 +305,18 @@ def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
     return math.sqrt(_square_sum(c - projector @ c))
 
 
-def _gauge_core(s: MeasurementSettings, c, report: bool = False):
-    """Range check plus W = A^+ C (B.T)^+; returns (finite, W, norm_c).
+def _range_verdict(s: MeasurementSettings, c: np.ndarray) -> tuple[bool, float]:
+    """(finite, norm_c): whether C passes both range tests, and its norm.
 
-    W is None when C is out of range, unless ``report`` asks for it anyway.
     norm_c is the Frobenius norm of C, or of C scaled by a power of two
     when its square lies outside _NORM_SQ_RANGE; either way it is zero
     exactly when C is.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (s.m, s.m):
-        raise ValueError(f"correlation matrix must be {s.m}x{s.m}, got {c.shape}")
     probe = c
     norm_sq = _square_sum(c)
     if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
         if not c.any():
-            return True, np.zeros((3, 3)), 0.0
+            return True, 0.0
         # The squares overflow or underflow at this scale. The range test is
         # scale invariant, so run it on C with its largest entry brought
         # into [0.5, 1).
@@ -287,27 +325,61 @@ def _gauge_core(s: MeasurementSettings, c, report: bool = False):
     norm_c = math.sqrt(norm_sq)
     finite = not (_range_deficit(s.projector_a, probe) > RANGE_TOL * norm_c
                   or _range_deficit(s.projector_b, probe.T) > RANGE_TOL * norm_c)
-    if not (finite or report):
-        return False, None, norm_c
+    return finite, norm_c
+
+
+def _gauge_core(s: MeasurementSettings, c: np.ndarray) -> np.ndarray:
+    """W = A^+ C (B.T)^+."""
     w = s.pinv_a @ c @ s.pinv_b.T
     _square_sum(w, "the core A^+ C (B^T)^+ overflowed")  # a finite C can overflow it
-    return finite, w, norm_c
+    return w
+
+
+class _CoreRecord:
+    """The range verdict and norm of one C, and the spectrum of its core W.
+
+    ``core`` stays None until a value, an optimizer or a report needs it: C
+    in range and nonzero, or a report. At C = 0 it is the zero matrix.
+    """
+
+    __slots__ = ("finite", "norm_c", "core")
+
+    def __init__(self, finite: bool, norm_c: float):
+        self.finite = finite
+        self.norm_c = norm_c
+        self.core = None
+
+
+def _core_record(s: MeasurementSettings, c, report: bool = False) -> _CoreRecord:
+    """The record of C, from the settings' core slot when C matches, with its
+    core formed if a value needs it or ``report`` asks for it."""
+    c = _checked_square(s, c, "correlation")
+    key = _key(c)
+    slot = s._core_slot
+    if slot is not None and slot[0] == key:
+        record = slot[1]
+    else:
+        record = _CoreRecord(*_range_verdict(s, c))
+        object.__setattr__(s, "_core_slot", (key, record))
+    if record.core is None and (report or (record.finite and record.norm_c)):
+        record.core = _Spectrum(_gauge_core(s, c) if record.norm_c else np.zeros((3, 3)))
+    return record
 
 
 def _gauge_spectrum(model: str, s: MeasurementSettings, c,
                     report: bool = False) -> tuple[GaugeValue, _Spectrum | None]:
     """gauge(model, s, c) and the spectrum of the core W it was read from.
 
-    Out of range the gauge reads no core: the spectrum is None, or with
-    ``report`` the spectrum of W formed anyway, for a report to print.
+    Out of range or at C = 0 the gauge reads no core: the spectrum is None,
+    or with ``report`` the spectrum of W formed anyway, for a report to print.
     """
     _check_model(model)
-    finite, w, norm_c = _gauge_core(s, c, report)
-    core = None if w is None else _Spectrum(w)
-    if not finite:
-        return GaugeValue(False), core
-    if norm_c == 0.0:
-        return GaugeValue(True, 0.0), core
+    record = _core_record(s, c, report)
+    core = record.core
+    if not record.finite:
+        return GaugeValue(False), core if report else None
+    if record.norm_c == 0.0:
+        return GaugeValue(True, 0.0), core if report else None
     if model == SEP:
         return GaugeValue(True, _trace_norm(core.svals)), core
     if model == QM and s.r == 3:
@@ -332,19 +404,6 @@ def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     return _gauge_spectrum(model, s, c)[0]
 
 
-def _optimizer(model: str, s: MeasurementSettings, w: np.ndarray) -> np.ndarray:
-    """optimizer_z from the core W of an in-range, nonzero C."""
-    u, _, vt = np.linalg.svd(w)
-    if model == SEP:
-        core = u @ vt
-    elif model == MAX or s.r <= 2:
-        core = u[:, :1] * vt[:1]
-    else:
-        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
-        core = u @ np.diag([1.0, 1.0, eta]) @ vt
-    return s.pinv_a.T @ core @ s.pinv_b
-
-
 def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     """Coefficient matrix attaining the gauge value in the support duality.
 
@@ -355,12 +414,22 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     direction flipped onto the orientation of W.
     """
     _check_model(model)
-    finite, w, norm_c = _gauge_core(s, c)
-    if not finite:
+    record = _core_record(s, c)
+    if not record.finite:
         raise ValueError("gauge is infinite; no optimizer exists")
-    if norm_c == 0.0:
+    if record.norm_c == 0.0:
         raise ValueError("gauge is zero at C = 0; the duality ratio is undefined")
-    return _optimizer(model, s, w)
+    # The full SVD is taken per call: values and vectors stay on separate
+    # factorizations, which differ in the last bits.
+    u, _, vt = np.linalg.svd(record.core.matrix)
+    if model == SEP:
+        core = u @ vt
+    elif model == MAX or s.r <= 2:
+        core = u[:, :1] * vt[:1]
+    else:
+        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
+        core = u @ np.diag([1.0, 1.0, eta]) @ vt
+    return s.pinv_a.T @ core @ s.pinv_b
 
 
 def membership(model: str, s: MeasurementSettings, c, tol: float = 1e-9) -> bool:

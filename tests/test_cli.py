@@ -618,6 +618,18 @@ def test_witness_forms_one_core_and_one_support(capsys, monkeypatch, model):
     assert (len(cores), len(supports)) == (1, 1)
 
 
+@pytest.mark.parametrize("model", geometry.MODELS)
+def test_gauge_report_at_zero_prints_the_zero_core(capsys, tmp_path, model):
+    """The gauge reads no core at C = 0, but the report still prints one."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"A": np.eye(3).tolist(), "B": np.eye(3).tolist(),
+                                "C": np.zeros((3, 3)).tolist()}))
+    rc, out, err = run(capsys, "gauge", "--model", model, "--file", str(path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:4] == [f"gauge {model} ({path}) = 0", "core singular values: 0 0 0",
+                                    "core determinant sign: 0", "rank r: 3"]
+
+
 def test_deeply_nested_scenario_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"Z": ' + "[" * 100_000 + "]" * 100_000 + "}")

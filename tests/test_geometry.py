@@ -1,9 +1,11 @@
 """Correlation body geometry: support, gauge, membership, extreme points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from corrsets import cli
+from corrsets import cli, geometry
 from corrsets.detect import (Z_CHSH, chsh_settings, i3322_settings, pauli_settings,
                              rotated_settings)
 from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
@@ -254,10 +256,18 @@ def test_support_m2_closed_form_is_homogeneous_at_extreme_scales(model, k):
 
 
 def test_gauge_value_contract():
+    """A frozen value with slots: compared by value, no __dict__."""
     assert GaugeValue(False).value == float("inf")
     assert GaugeValue(True, 2.0).value == 2.0
-    with pytest.raises(ValueError):
-        GaugeValue(True, -1.0)
+    g = GaugeValue(True, 2.0)
+    assert not hasattr(g, "__dict__") and GaugeValue.__slots__ == ("finite", "value")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.value = 3.0
+    assert g == GaugeValue(True, 2.0) and g != GaugeValue(True, 3.0)
+    assert GaugeValue(False) == GaugeValue(False, float("inf")) != g
+    for bad in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError):
+            GaugeValue(True, bad)
 
 
 def test_gauge_m2_closed_form_matches():
@@ -648,3 +658,140 @@ def test_out_of_range_gauge_forms_its_core_only_for_a_report():
         g, core = _gauge_spectrum(model, s, c, report=True)
         assert not g.finite
         assert np.array_equal(core.matrix, s.pinv_a @ c @ s.pinv_b.T)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(geometry, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def _each_value(s, z, c, fresh=False):
+    """float.hex of every support, gauge and optimizer entry at (Z, C), each
+    call made on s itself or on its own fresh copy of s."""
+    def on():
+        return MeasurementSettings(s.a, s.b) if fresh else s
+
+    out = []
+    for model in MODELS:
+        out.append(support(model, on(), z).hex())
+        g = gauge(model, on(), c)
+        out.append((g.finite, g.value.hex()))
+        if g.finite and np.any(c):
+            out += [x.hex() for x in optimizer_z(model, on(), c).ravel()]
+    return out
+
+
+def test_record_slots_follow_inputs_mutated_in_place():
+    """A record keeps no reference to its input: a Z or C changed in place
+    between calls gets the value a fresh settings object gives, through an
+    out-of-range C (below full rank), C = 0 and back."""
+    rng = np.random.default_rng(101)
+    for s in _settings_of_every_rank(rng):
+        z, c = rng.standard_normal((s.m, s.m)), feasible_c(rng, s)
+        _each_value(s, z, c)
+        for new_c in (rng.standard_normal((s.m, s.m)), np.zeros((s.m, s.m)),
+                      feasible_c(rng, s)):
+            z[0, -1] += 0.5
+            c[...] = new_c
+            assert _each_value(s, z, c) == _each_value(s, z, c, fresh=True)
+
+
+def test_record_slots_give_fresh_bits_for_either_memory_order():
+    """The strides are part of the key: a C-ordered and an F-ordered copy of
+    one matrix each get their own record, whichever is called first."""
+    rng = np.random.default_rng(103)
+    for s in _settings_of_every_rank(rng):
+        z, c = rng.standard_normal((s.m, s.m)), feasible_c(rng, s)
+        orders = [(z, c), (np.asfortranarray(z), np.asfortranarray(c))]
+        expected = [_each_value(s, *pair, fresh=True) for pair in orders]
+        for first in (0, 1):
+            t = MeasurementSettings(s.a, s.b)
+            for k in (first, 1 - first, first):
+                assert _each_value(t, *orders[k]) == expected[k]
+        if s.m > 1:
+            t = MeasurementSettings(s.a, s.b)
+            assert _support_spectrum(SEP, t, orders[0][0])[1] is not _support_spectrum(
+                SEP, t, orders[1][0])[1]
+
+
+def test_record_slots_never_cross_alternating_inputs():
+    rng = np.random.default_rng(107)
+    for s in _settings_of_every_rank(rng):
+        zs = [rng.standard_normal((s.m, s.m)) for _ in range(2)]
+        cs = [feasible_c(rng, s), rng.standard_normal((s.m, s.m))]
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 0), (1, 1), (0, 1)):
+            assert _each_value(s, zs[i], cs[j]) == _each_value(s, zs[i], cs[j], fresh=True)
+
+
+def test_records_are_reused_and_read_only():
+    rng = np.random.default_rng(109)
+    s = draw_settings(rng, 4, 2)
+    z, c, outside = rng.standard_normal((4, 4)), feasible_c(rng, s), rng.standard_normal((4, 4))
+    records = [_support_spectrum(SEP, s, z)[1], _gauge_spectrum(SEP, s, c)[1],
+               _gauge_spectrum(SEP, s, outside, report=True)[1],
+               _gauge_spectrum(SEP, s, np.zeros((4, 4)), report=True)[1]]
+    assert _support_spectrum(QM, s, z)[1] is records[0]
+    for record in records:
+        for x in (record.matrix, record.svals):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
+
+def test_three_supports_share_one_frame_and_one_svd(monkeypatch):
+    rng = np.random.default_rng(113)
+    for s in _settings_of_every_rank(rng):
+        z = rng.standard_normal((s.m, s.m))
+        frames = _counting(monkeypatch, "_frame")
+        calls = _linalg_counter(monkeypatch)
+        values = [support(model, s, z).hex() for model in MODELS]
+        assert len(frames) == 1
+        assert (calls["svdvals"], calls["svd"], calls["pinv"]) == ([(3, 3)], [], [])
+        assert len(calls["slogdet"]) <= 1
+        monkeypatch.undo()
+        assert values == [support(model, MeasurementSettings(s.a, s.b), z).hex()
+                          for model in MODELS]
+
+
+def test_gauges_and_optimizers_share_one_core_and_one_values_svd(monkeypatch):
+    """One core and one values-only SVD serve the three gauges and the three
+    optimizers. Each optimizer still takes its own full SVD: values and
+    vectors come from separate factorizations, which differ in the last bits."""
+    rng = np.random.default_rng(127)
+    for s in _settings_of_every_rank(rng):
+        c = feasible_c(rng, s)
+        assert s.r >= 1 and s.projector_b is not None  # factorize outside the count
+        cores = _counting(monkeypatch, "_gauge_core")
+        calls = _linalg_counter(monkeypatch)
+        for model in MODELS:
+            assert gauge(model, s, c).finite
+            optimizer_z(model, s, c)
+        assert len(cores) == 1
+        assert (calls["svdvals"], calls["svd"], calls["pinv"]) == ([(3, 3)], [(3, 3)] * 3, [])
+        monkeypatch.undo()
+
+
+def test_gauge_at_zero_takes_no_svd(monkeypatch):
+    """gauge reads no core at C = 0; a report still forms the zero core."""
+    rng = np.random.default_rng(131)
+    for s in _settings_of_every_rank(rng):
+        zero = np.zeros((s.m, s.m))
+        cores = _counting(monkeypatch, "_gauge_core")
+        calls = _linalg_counter(monkeypatch)
+        assert [gauge(model, s, zero) for model in MODELS] == [GaugeValue(True, 0.0)] * 3
+        assert membership(QM, s, zero)
+        assert (calls["svd"], calls["svdvals"], cores) == ([], [], [])
+        monkeypatch.undo()
+        for model in MODELS:
+            assert _gauge_spectrum(model, s, zero)[1] is None
+            g, core = _gauge_spectrum(model, s, zero, report=True)
+            assert g == GaugeValue(True, 0.0)
+            assert np.array_equal(core.matrix, np.zeros((3, 3)))
+            assert np.array_equal(core.svals, np.zeros(3)) and core.sign == 0.0

@@ -1,5 +1,6 @@
-"""Module layout: verification code lives in oracles and selfcheck only, and
-cli builds its parser lazily and dispatches by name."""
+"""Module layout: verification code lives in oracles and selfcheck only, cli
+builds its parser lazily and dispatches by name, and frames and cores are
+formed only where their spectral records are built."""
 
 import ast
 import pathlib
@@ -109,3 +110,37 @@ def test_cli_reports_the_spectrum_geometry_read():
     assert not {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {
         "pinv_a", "pinv_b", "_frame", "_gauge_core"}
     assert "svdvals" in _imports_and_definitions("geometry")[0]
+
+
+def _calls_by_function(name):
+    """{called name: names of the top-level functions holding such a call}."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    found = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.setdefault(called, set()).add(getattr(top, "name", None))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_frames_and_cores_are_formed_only_by_the_record_constructors(name):
+    # A frame or core formed anywhere else would bypass the settings' record
+    # slots and factor the same matrix a second time.
+    calls = _calls_by_function(name)
+    builders = {"_frame": {"_frame_record"}, "_gauge_core": {"_core_record"}}
+    for formed, owners in builders.items():
+        assert calls.get(formed, set()) <= (owners if name == "geometry" else set())
+    if name == "geometry":
+        assert {formed: calls[formed] for formed in builders} == builders
+
+
+def test_detect_reads_geometry_through_its_public_names():
+    tree = ast.parse((SRC / "detect.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "geometry" for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "geometry"}
+    assert attributes and not [n for n in imported | attributes if n.startswith("_")]
