@@ -26,7 +26,8 @@ Each support or gauge value is read off one private spectral record of its
 frame or core, which the command line prints without factoring the matrix
 again. The settings object keeps the last frame record and the last core
 record it made, so the three models and the optimizer share one frame, one
-core and one values-only SVD per matrix (see MeasurementSettings).
+core and one values-only SVD per matrix, and the three optimizers one full
+SVD of the core (see MeasurementSettings).
 Everything is deterministic and allocation-light; matrices stay small.
 """
 
@@ -81,11 +82,12 @@ class MeasurementSettings:
     The object also keeps one slot for the spectral record of the last
     frame A^T Z B it formed and one for the record of the last correlation
     matrix C it range-tested (its verdict, its norm and, once needed, the
-    core). A slot holds (key, record), where the key is the input's bytes
-    after np.asarray(x, float), its shape and its strides; the shape is
-    checked before the key is compared. The strides are in the key because
-    BLAS may round a Fortran-ordered input differently from a C-ordered
-    one, so a value never depends on which call came first. A record holds
+    core and its singular vectors). A slot holds (key, record), where the
+    key is the input's bytes after np.asarray(x, float), its shape and its
+    strides; the shape is checked before the key is compared. The strides
+    are in the key because BLAS may round a Fortran-ordered input
+    differently from a C-ordered one, so a value never depends on which
+    call came first. A record holds
     no reference to the input, only read-only arrays computed from it, so
     an input mutated in place no longer matches its key and gets a fresh
     record, bit-identical to one on a fresh settings object. A hit skips
@@ -340,14 +342,17 @@ class _CoreRecord:
 
     ``core`` stays None until a value, an optimizer or a report needs it: C
     in range and nonzero, or a report. At C = 0 it is the zero matrix.
+    ``factors`` stays None until the first optimizer, which fills it with
+    the read-only U and V^T of one full SVD of W for all three models.
     """
 
-    __slots__ = ("finite", "norm_c", "core")
+    __slots__ = ("finite", "norm_c", "core", "factors")
 
     def __init__(self, finite: bool, norm_c: float):
         self.finite = finite
         self.norm_c = norm_c
         self.core = None
+        self.factors = None
 
 
 def _core_record(s: MeasurementSettings, c, report: bool = False) -> _CoreRecord:
@@ -411,7 +416,8 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     Built from the SVD of W = A^+ C (B.T)^+: the full orthogonal product
     for the separable body, the top dyad for the maximal body, and for the
     quantum body at full rank the orthogonal product with the trailing
-    direction flipped onto the orientation of W.
+    direction flipped onto the orientation of W. The first optimizer on a C
+    keeps U and V^T on the record of C, and the other models reuse them.
     """
     _check_model(model)
     record = _core_record(s, c)
@@ -419,9 +425,12 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
         raise ValueError("gauge is infinite; no optimizer exists")
     if record.norm_c == 0.0:
         raise ValueError("gauge is zero at C = 0; the duality ratio is undefined")
-    # The full SVD is taken per call: values and vectors stay on separate
-    # factorizations, which differ in the last bits.
-    u, _, vt = np.linalg.svd(record.core.matrix)
+    # Values and vectors stay on separate factorizations, which differ in
+    # the last bits, so the values-only SVD of the core keeps its bits.
+    if record.factors is None:
+        u, _, vt = np.linalg.svd(record.core.matrix)
+        record.factors = (_read_only(u), _read_only(vt))
+    u, vt = record.factors
     if model == SEP:
         core = u @ vt
     elif model == MAX or s.r <= 2:

@@ -100,7 +100,8 @@ def dead_zone_sign(det, sv):
     below full rank: over 40,000 frames A^T Z B of seeded rank-2 settings
     (m = 2..5, Gaussian Z) s3 was at most 2.6 * eps * s1, and over 15,000
     full-rank ones s3/s1 was at least 2.8e-7. The collapsed sign moves the
-    signed norms by at most 8 * eps * s1.
+    signed norms by at most 8 * eps * s1. _det_sign applies this rule and
+    runs slogdet on one matrix only outside the dead zone.
     """
     return np.where(sv[..., 2] <= _DEAD_ZONE * sv[..., 0], 0.0, np.sign(det))
 
@@ -111,10 +112,18 @@ def _signed_svals(x):
 
 
 def _det_sign(x, s):
-    """dead_zone_sign of det x, given the singular values s of x."""
+    """dead_zone_sign of det x, given the singular values s of x.
+
+    One matrix inside the dead zone takes no slogdet, whose sign the rule
+    would drop, and gets the rule's 0-d 0.0 at once; a (k, 3, 3) stack takes
+    one slogdet for all its matrices.
+    """
+    if x.ndim == 2 and s[2] <= _DEAD_ZONE * s[0]:
+        return np.array(0.0)
     sign, logdet = np.linalg.slogdet(x)
-    # A pivot overflowed or vanished. Exactly singular frames get here too, so
-    # only a sign outside the dead zone is redone; the scalar test is cheap.
+    # A pivot overflowed or vanished. Exactly singular frames of a stack get
+    # here too, so only a sign outside the dead zone is redone; the scalar
+    # test is cheap.
     if not (np.isfinite(logdet).all() if x.ndim == 3 else abs(logdet) < np.inf):
         redo = ~np.isfinite(logdet) & (s[..., 2] > _DEAD_ZONE * s[..., 0])
         if redo.any():
@@ -132,7 +141,8 @@ def signed_svals(x):
     """Singular values and dead-zoned determinant sign of 3x3 matrices.
 
     ``x`` is one 3x3 matrix or a (k, 3, 3) stack. Returns ``(s, sign)``
-    from one SVD and one ``slogdet``: ``s`` holds the singular values,
+    from one SVD and at most one ``slogdet``, which one matrix inside the
+    dead zone does without: ``s`` holds the singular values,
     descending along the last axis, and ``sign`` the dead_zone_sign of
     each determinant, with shape ``x.shape[:-2]`` (0-d for one matrix).
     ``slogdet`` reads the sign off the LU pivots, so it does not overflow with

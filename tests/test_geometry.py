@@ -1,6 +1,7 @@
 """Correlation body geometry: support, gauge, membership, extreme points."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
                                membership, optimizer_z, planar_settings, support)
 from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
                               random_settings, support_m2_closed_form)
-from corrsets.smallmat import RANK_TOL, norm_minus, norm_plus, op_norm, signed_svals, trace_norm
+from corrsets.smallmat import (EPS, RANK_TOL, norm_minus, norm_plus, op_norm, signed_svals,
+                               trace_norm)
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -616,20 +618,24 @@ def _linalg_counter(monkeypatch):
 def test_gauge_command_factorizes_its_fresh_settings_once(monkeypatch, capsys, scenario, model):
     """A gauge command builds fresh settings: one values-only SVD of the
     (2, m, 3) stack gives both ranks and one pinv call both pseudoinverses.
-    The core gets one values-only SVD and one slogdet, for the report's sign."""
+    The core gets one values-only SVD and, for the report's sign, one
+    slogdet at full rank; the rank-2 cores of chsh and i3322-opt lie in the
+    dead zone and take none."""
     calls = _linalg_counter(monkeypatch)
     assert cli.main(["gauge", "--model", model, "--scenario", scenario]) == 0
     capsys.readouterr()
     m = 2 if scenario == "chsh" else 3
     assert calls["pinv"] == [(2, m, 3)]
     assert sorted(calls["svdvals"], key=len) == [(3, 3), (2, m, 3)]
-    assert (calls["svd"], calls["slogdet"]) == ([], [(3, 3)])
+    slogdets = [] if scenario in ("chsh", "i3322-opt") else [(3, 3)]
+    assert (calls["svd"], calls["slogdet"]) == ([], slogdets)
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_support_and_gauge_read_one_spectrum(monkeypatch, model):
     """One SVD of the frame or core gives the value; sep and max take no
-    determinant, and the record's spectrum is the checked signed_svals."""
+    determinant, qm one slogdet for each frame or core it reads outside the
+    dead zone, and the record's spectrum is the checked signed_svals."""
     rng = np.random.default_rng(79)
     for s in _settings_of_every_rank(rng):
         assert s.r >= 1 and s.projector_b is not None  # factorize outside the count
@@ -637,9 +643,15 @@ def test_support_and_gauge_read_one_spectrum(monkeypatch, model):
         calls = _linalg_counter(monkeypatch)
         support(model, s, z)
         gauge(model, s, c)
-        determinants = 2 if model == QM and s.r == 3 else 1 if model == QM else 0
-        assert (len(calls["svdvals"]), len(calls["slogdet"])) == (2, determinants)
         monkeypatch.undo()
+        # qm reads the sign of the frame, and of the core at full rank only.
+        signed = [_support_spectrum(model, s, z)[1]]
+        signed += [_gauge_spectrum(model, s, c)[1]] * (s.r == 3)
+        outside = sum(bool(w.svals[2] > 8 * EPS * w.svals[0]) for w in signed)
+        if s.r >= 2:  # rank-1 frames can carry rounding noise above the dead zone
+            assert outside == (2 if s.r == 3 else 0)
+        determinants = outside if model == QM else 0
+        assert (len(calls["svdvals"]), len(calls["slogdet"])) == (2, determinants)
         for (value, record), direct, matrix in (
                 (_support_spectrum(model, s, z), support(model, s, z), s.a.T @ z @ s.b),
                 (_gauge_spectrum(model, s, c), gauge(model, s, c), s.pinv_a @ c @ s.pinv_b.T)):
@@ -761,9 +773,9 @@ def test_three_supports_share_one_frame_and_one_svd(monkeypatch):
 
 
 def test_gauges_and_optimizers_share_one_core_and_one_values_svd(monkeypatch):
-    """One core and one values-only SVD serve the three gauges and the three
-    optimizers. Each optimizer still takes its own full SVD: values and
-    vectors come from separate factorizations, which differ in the last bits."""
+    """One core, one values-only SVD and one full SVD serve the three gauges
+    and the three optimizers. Values and vectors come from separate
+    factorizations, which differ in the last bits."""
     rng = np.random.default_rng(127)
     for s in _settings_of_every_rank(rng):
         c = feasible_c(rng, s)
@@ -774,8 +786,54 @@ def test_gauges_and_optimizers_share_one_core_and_one_values_svd(monkeypatch):
             assert gauge(model, s, c).finite
             optimizer_z(model, s, c)
         assert len(cores) == 1
-        assert (calls["svdvals"], calls["svd"], calls["pinv"]) == ([(3, 3)], [(3, 3)] * 3, [])
+        assert (calls["svdvals"], calls["svd"], calls["pinv"]) == ([(3, 3)], [(3, 3)], [])
         monkeypatch.undo()
+
+
+def _own_svd_optimizer(model, s, c):
+    """optimizer_z rebuilt from a full SVD of its own: the reference for the
+    factors the record shares."""
+    u, _, vt = np.linalg.svd(s.pinv_a @ c @ s.pinv_b.T)
+    if model == SEP:
+        core = u @ vt
+    elif model == MAX or s.r <= 2:
+        core = u[:, :1] * vt[:1]
+    else:
+        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
+        core = u @ np.diag([1.0, 1.0, eta]) @ vt
+    return s.pinv_a.T @ core @ s.pinv_b
+
+
+def test_optimizers_share_read_only_factors_in_any_order():
+    """Whichever model comes first fills the record's U and V^T, read-only,
+    and every optimizer is the one its own full SVD gives, bit for bit."""
+    rng = np.random.default_rng(137)
+    for s in _settings_of_every_rank(rng):
+        c = feasible_c(rng, s)
+        expected = {model: _own_svd_optimizer(model, s, c).tobytes() for model in MODELS}
+        for order in itertools.permutations(MODELS):
+            t = MeasurementSettings(s.a, s.b)
+            assert [optimizer_z(model, t, c).tobytes() for model in order] == [
+                expected[model] for model in order]
+            factors = t._core_slot[1].factors
+            assert len(factors) == 2
+            for x in factors:
+                assert x.shape == (3, 3) and not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0, 0] = 1.0
+
+
+def test_optimizer_factors_follow_c_mutated_in_place():
+    rng = np.random.default_rng(139)
+    for s in _settings_of_every_rank(rng):
+        c = feasible_c(rng, s)
+        for model in MODELS:
+            optimizer_z(model, s, c)
+        factors = s._core_slot[1].factors
+        c[...] = feasible_c(rng, s)
+        for model in MODELS:
+            assert optimizer_z(model, s, c).tobytes() == _own_svd_optimizer(model, s, c).tobytes()
+        assert s._core_slot[1].factors is not factors
 
 
 def test_gauge_at_zero_takes_no_svd(monkeypatch):

@@ -436,3 +436,48 @@ def test_signed_svals_sign_is_exact_near_the_top_of_the_float_range():
     assert checked.size > 1000 and np.count_nonzero(redone[checked]) >= 10
     assert [_exact_det_sign(frames[i]) for i in checked] == list(signs[checked])
     assert signed_svals(np.zeros((0, 3, 3)))[1].shape == (0,)
+
+
+def test_det_sign_takes_no_slogdet_inside_the_dead_zone(monkeypatch):
+    """One matrix with s3 <= 8 eps s1 gets the rule's 0 before any LU. Every
+    sign is the rule applied to slogdet's sign, bit for bit and 0-d, and a
+    stack keeps its one slogdet and matches the per-matrix calls."""
+    rng = np.random.default_rng(37)
+    cases = [np.zeros((3, 3))]
+    for m, rank in ((3, 1), (4, 1), (3, 2), (5, 2), (3, 3), (5, 3)):
+        for _ in range(5):
+            s = random_settings(rng, m, rank)
+            cases.append(s.a.T @ rng.standard_normal((m, m)) @ s.b)
+    cases += [np.ldexp(x, k) for x in cases[1:] for k in (-600, 600)]
+    # log|det| overflows, so the sign is taken again on the matrix scaled down
+    top = 1.2e308 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    cases.append(top)
+    real_slogdet = np.linalg.slogdet
+    calls = []
+
+    def slogdet(x):
+        calls.append(x)
+        return real_slogdet(x)
+
+    monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+    inside = []
+    with np.errstate(over="ignore"):
+        for x in cases:
+            sv = smallmat._svals(x)
+            calls.clear()
+            sign = smallmat._det_sign(x, sv)
+            if sv[2] <= 8 * smallmat.EPS * sv[0]:
+                assert calls == []
+                inside.append(x)
+            else:
+                assert len(calls) == (2 if x is top else 1)
+            expected = smallmat.dead_zone_sign(real_slogdet(x)[0], sv)
+            assert type(sign) is type(expected) and sign.tobytes() == expected.tobytes()
+            assert np.ndim(sign) == 0 and np.ndim(signed_svals(x)[1]) == 0
+        values, signs = signed_svals(np.array(cases))
+        singles = [signed_svals(x) for x in cases]
+    assert 25 <= len(inside) < len(cases) - 25
+    calls.clear()  # a stack keeps its one slogdet, even inside the dead zone
+    assert np.all(signed_svals(np.array(inside))[1] == 0.0) and len(calls) == 1
+    assert np.array_equal(values, np.stack([sv for sv, _ in singles]))
+    assert signs.tobytes() == np.stack([sign for _, sign in singles]).tobytes()
