@@ -40,8 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import twoqubit
-from .smallmat import (RANK_TOL, _det_sign, _op_norm, _signed_norm, _trace_norm, pinv,
-                       random_rotation, svdvals)
+from .smallmat import RANK_TOL, _det_sign, pinv, random_rotation, svdvals
 
 SEP = "sep"
 QM = "qm"
@@ -258,14 +257,16 @@ class _Spectrum:
 
     One SVD serves the support or gauge values of all three models and a
     report of the spectrum behind them; sep and max values take no
-    determinant.
+    determinant. ``values`` holds the three singular values as Python
+    floats, read off ``svals`` once, and every norm is formed from them.
     """
 
-    __slots__ = ("matrix", "svals", "_sign")
+    __slots__ = ("matrix", "svals", "values", "_sign")
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = _read_only(matrix)
         self.svals = _read_only(np.linalg.svd(matrix, compute_uv=False))
+        self.values = self.svals.tolist()
         self._sign = None
 
     @property
@@ -273,6 +274,19 @@ class _Spectrum:
         if self._sign is None:
             self._sign = float(_det_sign(self.matrix, self.svals))
         return self._sign
+
+
+# smallmat's norm kernels on a record's float values, bit for bit: _op_norm
+# is s1, and these two keep the kernels' order of operations. Builtin sum is
+# not used, since from Python 3.12 it adds floats with compensation.
+def _trace(values) -> float:
+    s1, s2, s3 = values
+    return s1 + s2 + s3
+
+
+def _signed(values, sign: float, flip: float) -> float:
+    s1, s2, s3 = values
+    return s1 + s2 + s3 * (flip * sign)
 
 
 def _frame_record(s: MeasurementSettings, z) -> _Spectrum:
@@ -292,10 +306,10 @@ def _support_spectrum(model: str, s: MeasurementSettings, z) -> tuple[float, _Sp
     _check_model(model)
     frame = _frame_record(s, z)
     if model == SEP:
-        return _op_norm(frame.svals), frame
+        return frame.values[0], frame
     if model == QM:
-        return _signed_norm(frame.svals, frame.sign, -1.0), frame
-    return _trace_norm(frame.svals), frame
+        return _signed(frame.values, frame.sign, -1.0), frame
+    return _trace(frame.values), frame
 
 
 def support(model: str, s: MeasurementSettings, z) -> float:
@@ -309,6 +323,9 @@ def _range_deficit(projector: np.ndarray, c: np.ndarray) -> float:
 
 def _range_verdict(s: MeasurementSettings, c: np.ndarray) -> tuple[bool, float]:
     """(finite, norm_c): whether C passes both range tests, and its norm.
+
+    A party of rank m spans R^m and passes without a projector, whose
+    deficit there is only rounding noise of about eps * cond relative.
 
     norm_c is the Frobenius norm of C, or of C scaled by a power of two
     when its square lies outside _NORM_SQ_RANGE; either way it is zero
@@ -325,8 +342,9 @@ def _range_verdict(s: MeasurementSettings, c: np.ndarray) -> tuple[bool, float]:
         probe = np.ldexp(c, -math.frexp(np.max(np.abs(c)))[1])
         norm_sq = _square_sum(probe)
     norm_c = math.sqrt(norm_sq)
-    finite = not (_range_deficit(s.projector_a, probe) > RANGE_TOL * norm_c
-                  or _range_deficit(s.projector_b, probe.T) > RANGE_TOL * norm_c)
+    tol = RANGE_TOL * norm_c
+    finite = not (s.rank_a < s.m and _range_deficit(s.projector_a, probe) > tol
+                  or s.rank_b < s.m and _range_deficit(s.projector_b, probe.T) > tol)
     return finite, norm_c
 
 
@@ -342,17 +360,19 @@ class _CoreRecord:
 
     ``core`` stays None until a value, an optimizer or a report needs it: C
     in range and nonzero, or a report. At C = 0 it is the zero matrix.
-    ``factors`` stays None until the first optimizer, which fills it with
-    the read-only U and V^T of one full SVD of W for all three models.
+    ``factors`` and ``polar`` stay None until the first optimizer, which
+    fills them for all three models: ``factors`` with the read-only U and
+    V^T of one full SVD of W, ``polar`` with their read-only product U V^T.
     """
 
-    __slots__ = ("finite", "norm_c", "core", "factors")
+    __slots__ = ("finite", "norm_c", "core", "factors", "polar")
 
     def __init__(self, finite: bool, norm_c: float):
         self.finite = finite
         self.norm_c = norm_c
         self.core = None
         self.factors = None
+        self.polar = None
 
 
 def _core_record(s: MeasurementSettings, c, report: bool = False) -> _CoreRecord:
@@ -386,17 +406,18 @@ def _gauge_spectrum(model: str, s: MeasurementSettings, c,
     if record.norm_c == 0.0:
         return GaugeValue(True, 0.0), core if report else None
     if model == SEP:
-        return GaugeValue(True, _trace_norm(core.svals)), core
+        return GaugeValue(True, _trace(core.values)), core
     if model == QM and s.r == 3:
-        return GaugeValue(True, _signed_norm(core.svals, core.sign, 1.0)), core
-    return GaugeValue(True, _op_norm(core.svals)), core
+        return GaugeValue(True, _signed(core.values, core.sign, 1.0)), core
+    return GaugeValue(True, core.values[0]), core
 
 
 def gauge(model: str, s: MeasurementSettings, c) -> GaugeValue:
     """Gauge function of the model's correlation body at C.
 
     Infinite whenever C is incompatible with the column spaces of A or B,
-    since no scaling of such a C is reachable by any state. Otherwise a
+    since no scaling of such a C is reachable by any state; a party of rank
+    m spans all of R^m and passes without a projector. Otherwise a
     norm of W = A^+ C (B.T)^+: the trace norm for the separable body, the
     operator norm for the maximal one, and for the quantum body the signed
     sum s1 + s2 + s3 sgn(det W) when both settings have full rank (below
@@ -417,7 +438,8 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     for the separable body, the top dyad for the maximal body, and for the
     quantum body at full rank the orthogonal product with the trailing
     direction flipped onto the orientation of W. The first optimizer on a C
-    keeps U and V^T on the record of C, and the other models reuse them.
+    keeps U, V^T and the polar factor U V^T on the record of C, and the
+    other models reuse them.
     """
     _check_model(model)
     record = _core_record(s, c)
@@ -430,21 +452,23 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     if record.factors is None:
         u, _, vt = np.linalg.svd(record.core.matrix)
         record.factors = (_read_only(u), _read_only(vt))
+        record.polar = _read_only(u @ vt)
     u, vt = record.factors
     if model == SEP:
-        core = u @ vt
+        core = record.polar
     elif model == MAX or s.r <= 2:
         core = u[:, :1] * vt[:1]
+    elif np.linalg.det(record.polar) > 0:
+        core = record.polar
     else:
-        eta = 1.0 if np.linalg.det(u @ vt) > 0 else -1.0
-        core = u @ np.diag([1.0, 1.0, eta]) @ vt
+        core = (u * (1.0, 1.0, -1.0)) @ vt  # the trailing direction flipped
     return s.pinv_a.T @ core @ s.pinv_b
 
 
 def membership(model: str, s: MeasurementSettings, c, tol: float = 1e-9) -> bool:
     """Whether C lies in the model's correlation body, up to tol in gauge."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     g = gauge(model, s, c)
     return g.finite and g.value <= 1.0 + tol
 
@@ -464,11 +488,14 @@ def extreme_point(model: str, s: MeasurementSettings, param) -> np.ndarray:
         rb = np.asarray(rb, dtype=float)
         if ra.shape != (3,) or rb.shape != (3,):
             raise ValueError("separable extreme points take two 3-vectors")
-        if abs(np.linalg.norm(ra) - 1.0) > UNIT_ROW_TOL or abs(np.linalg.norm(rb) - 1.0) > UNIT_ROW_TOL:
+        # NaN fails every comparison, so the test is written to pass on <=
+        if not (abs(np.linalg.norm(ra) - 1.0) <= UNIT_ROW_TOL
+                and abs(np.linalg.norm(rb) - 1.0) <= UNIT_ROW_TOL):
             raise ValueError("Bloch vectors must be unit length")
         return s.a @ np.outer(ra, rb) @ s.b.T
     q = np.asarray(param, dtype=float)
-    if q.shape != (3, 3) or np.linalg.norm(q.T @ q - np.eye(3)) > UNIT_ROW_TOL * 10:
+    if (q.shape != (3, 3) or not np.all(np.isfinite(q))
+            or not np.linalg.norm(q.T @ q - np.eye(3)) <= UNIT_ROW_TOL * 10):
         raise ValueError("extreme points of this body take an orthogonal 3x3 matrix")
     if model == QM and np.linalg.det(q) > 0:
         raise ValueError("quantum extreme points need determinant -1")

@@ -100,8 +100,9 @@ def dead_zone_sign(det, sv):
     below full rank: over 40,000 frames A^T Z B of seeded rank-2 settings
     (m = 2..5, Gaussian Z) s3 was at most 2.6 * eps * s1, and over 15,000
     full-rank ones s3/s1 was at least 2.8e-7. The collapsed sign moves the
-    signed norms by at most 8 * eps * s1. _det_sign applies this rule and
-    runs slogdet on one matrix only outside the dead zone.
+    signed norms by at most 8 * eps * s1. _det_sign applies this rule: it
+    calls this function for a (k, 3, 3) stack and for one matrix whose
+    log|det| is not finite, and otherwise settles one matrix without it.
     """
     return np.where(sv[..., 2] <= _DEAD_ZONE * sv[..., 0], 0.0, np.sign(det))
 
@@ -115,16 +116,18 @@ def _det_sign(x, s):
     """dead_zone_sign of det x, given the singular values s of x.
 
     One matrix inside the dead zone takes no slogdet, whose sign the rule
-    would drop, and gets the rule's 0-d 0.0 at once; a (k, 3, 3) stack takes
-    one slogdet for all its matrices.
+    would drop, and gets the rule's 0-d 0.0 at once; outside it, with a
+    finite log|det|, slogdet's +-1.0 as a 0-d array, which the rule keeps.
+    A (k, 3, 3) stack takes one slogdet for all its matrices and the rule.
     """
     if x.ndim == 2 and s[2] <= _DEAD_ZONE * s[0]:
         return np.array(0.0)
     sign, logdet = np.linalg.slogdet(x)
+    if x.ndim == 2 and abs(logdet) < np.inf:
+        return np.array(sign)
     # A pivot overflowed or vanished. Exactly singular frames of a stack get
-    # here too, so only a sign outside the dead zone is redone; the scalar
-    # test is cheap.
-    if not (np.isfinite(logdet).all() if x.ndim == 3 else abs(logdet) < np.inf):
+    # here too, so only a sign outside the dead zone is redone.
+    if not np.isfinite(logdet).all():
         redo = ~np.isfinite(logdet) & (s[..., 2] > _DEAD_ZONE * s[..., 0])
         if redo.any():
             top = np.frexp(np.abs(x).max(axis=(-2, -1)))[1][..., None, None]

@@ -15,8 +15,8 @@ from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
                                membership, optimizer_z, planar_settings, support)
 from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
                               random_settings, support_m2_closed_form)
-from corrsets.smallmat import (EPS, RANK_TOL, norm_minus, norm_plus, op_norm, signed_svals,
-                               trace_norm)
+from corrsets.smallmat import (EPS, RANK_TOL, _op_norm, _signed_norm, _trace_norm, norm_minus,
+                               norm_plus, op_norm, random_rotation, signed_svals, trace_norm)
 from corrsets.twoqubit import rho_max, werner_state
 
 from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
@@ -338,6 +338,28 @@ def test_extreme_points_sit_on_boundary():
         ra, rb = random_unit(RNG), random_unit(RNG)
         c_sep = extreme_point(SEP, s, (ra, rb))
         assert abs(gauge(SEP, s, c_sep).value - 1.0) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_membership_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol"):
+        membership(QM, pauli_settings(), 0.1 * np.eye(3), tol=tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_extreme_point_rejects_nonfinite_parameters(entry):
+    s = pauli_settings()
+    bad = np.array([1.0, 0.0, entry])
+    for pair in ((bad, np.eye(3)[0]), (np.eye(3)[0], bad)):
+        with pytest.raises(ValueError, match="unit length"):
+            extreme_point(SEP, s, pair)
+    q = np.diag([1.0, -1.0, 1.0])
+    q[0, 2] = entry
+    for model in (QM, MAX):
+        with pytest.raises(ValueError, match="orthogonal"):
+            extreme_point(model, s, q)
 
 
 def test_extreme_point_validation():
@@ -806,10 +828,15 @@ def _own_svd_optimizer(model, s, c):
 
 def test_optimizers_share_read_only_factors_in_any_order():
     """Whichever model comes first fills the record's U and V^T, read-only,
-    and every optimizer is the one its own full SVD gives, bit for bit."""
+    and every optimizer is the one its own full SVD gives, bit for bit. The
+    full-rank qm cases take both branches: U V^T kept, and flipped."""
     rng = np.random.default_rng(137)
+    qm_branches = set()
     for s in _settings_of_every_rank(rng):
         c = feasible_c(rng, s)
+        if s.r == 3:
+            u, _, vt = np.linalg.svd(s.pinv_a @ c @ s.pinv_b.T)
+            qm_branches.add(bool(np.linalg.det(u @ vt) > 0))
         expected = {model: _own_svd_optimizer(model, s, c).tobytes() for model in MODELS}
         for order in itertools.permutations(MODELS):
             t = MeasurementSettings(s.a, s.b)
@@ -821,6 +848,7 @@ def test_optimizers_share_read_only_factors_in_any_order():
                 assert x.shape == (3, 3) and not x.flags.writeable
                 with pytest.raises(ValueError):
                     x[0, 0] = 1.0
+    assert qm_branches == {True, False}
 
 
 def test_optimizer_factors_follow_c_mutated_in_place():
@@ -853,3 +881,44 @@ def test_gauge_at_zero_takes_no_svd(monkeypatch):
             assert g == GaugeValue(True, 0.0)
             assert np.array_equal(core.matrix, np.zeros((3, 3)))
             assert np.array_equal(core.svals, np.zeros(3)) and core.sign == 0.0
+
+
+def test_float_norms_are_the_kernels_bit_for_bit():
+    """The norms a record forms from its singular values read as Python
+    floats equal smallmat's kernels on the array, bit for bit, across the
+    float range, for every determinant sign and either flip."""
+    rng = np.random.default_rng(163)
+    n = 100_000
+    spectra = -np.sort(-np.abs(rng.standard_normal((n, 3))), axis=1)
+    spectra[::5, 2] = 0.0
+    spectra[1::5, 2] = spectra[1::5, 1]
+    spectra = np.ldexp(spectra, rng.integers(-600, 601, size=(n, 1)))
+    signs = rng.choice([-1.0, 0.0, 1.0], size=n)
+    flips = rng.choice([-1.0, 1.0], size=n)
+    for sv, sign, flip in zip(spectra, signs.tolist(), flips.tolist()):
+        values = sv.tolist()
+        assert values[0].hex() == _op_norm(sv).hex()
+        assert geometry._trace(values).hex() == _trace_norm(sv).hex()
+        assert (geometry._signed(values, sign, flip).hex()
+                == _signed_norm(sv, np.array(sign), flip).hex())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("angle", [1e-8, 1e-9])
+def test_parties_of_rank_m_take_every_c_even_when_near_singular(m, angle):
+    """A party of rank m spans R^m, so every C is in range, also when two
+    rows of A lie `angle` apart. A projector test there reads rounding noise
+    of about eps * cond(A) as a deficit, which made most of these gauges
+    infinite. Each gauge is also the duality ratio of its optimizer."""
+    rng = np.random.default_rng(151)
+    rows = np.eye(3)[:m]
+    rows[-1] = np.cos(angle), 0.0, np.sin(angle)  # `angle` away from the first row
+    for _ in range(100):
+        s = MeasurementSettings(rows @ random_rotation(rng).T, random_rotation(rng)[:m])
+        assert (s.rank_a, s.rank_b) == (m, m)
+        c = rng.standard_normal((m, m))
+        for model in MODELS:
+            g = gauge(model, s, c)
+            assert g.finite
+            z = optimizer_z(model, s, c)
+            assert np.sum(z * c) / support(model, s, z) == pytest.approx(g.value, rel=1e-6)

@@ -92,10 +92,21 @@ def test_cli_builds_its_parser_lazily_and_dispatches_by_name():
 
 def test_geometry_calls_the_unchecked_norm_kernels():
     # geometry checks each frame and core once, after forming it; a checked
-    # wrapper would check it a second time.
+    # wrapper would check it a second time. It takes the sign from the
+    # unchecked kernel and forms the norms from the record's float values,
+    # bit-equal to smallmat's norm kernels (test_geometry.py).
     imported, _ = _imports_and_definitions("geometry")
     assert not imported & {"op_norm", "trace_norm", "norm_plus", "norm_minus", "signed_svals"}
-    assert {"_op_norm", "_trace_norm", "_signed_norm"} <= imported
+    assert "_det_sign" in imported
+
+
+@pytest.mark.parametrize("name", ["geometry", "smallmat"])
+def test_norm_modules_never_use_builtin_sum(name):
+    # From Python 3.12 builtin sum adds floats with compensation, so a norm
+    # formed with it would move off the kernels' bits on a newer Python only.
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "sum"]
 
 
 def test_cli_reports_the_spectrum_geometry_read():

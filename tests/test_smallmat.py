@@ -481,3 +481,29 @@ def test_det_sign_takes_no_slogdet_inside_the_dead_zone(monkeypatch):
     assert np.all(signed_svals(np.array(inside))[1] == 0.0) and len(calls) == 1
     assert np.array_equal(values, np.stack([sv for sv, _ in singles]))
     assert signs.tobytes() == np.stack([sign for _, sign in singles]).tobytes()
+
+
+def test_det_sign_settles_one_matrix_outside_the_dead_zone_without_the_rule(monkeypatch):
+    """One matrix with a finite log|det| outside the dead zone gets
+    slogdet's sign with no dead_zone_sign call; a stack, and one matrix whose
+    log|det| overflows, still go through the rule."""
+    rng = np.random.default_rng(41)
+    real_rule = smallmat.dead_zone_sign
+    calls = []
+
+    def rule(det, sv):
+        calls.append(np.shape(det))
+        return real_rule(det, sv)
+
+    monkeypatch.setattr(smallmat, "dead_zone_sign", rule)
+    xs = rng.standard_normal((50, 3, 3))
+    for x in xs:
+        sign = smallmat._det_sign(x, smallmat._svals(x))
+        assert type(sign) is np.ndarray and sign.shape == () and sign in (-1.0, 1.0)
+        assert sign == np.sign(np.linalg.det(x))
+    assert calls == []
+    smallmat._det_sign(xs, smallmat._svals(xs))
+    top = 1.2e308 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        assert smallmat._det_sign(top, smallmat._svals(top)) == -1.0
+    assert calls == [(50,), ()]
