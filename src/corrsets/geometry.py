@@ -465,6 +465,93 @@ def optimizer_z(model: str, s: MeasurementSettings, c) -> np.ndarray:
     return s.pinv_a.T @ core @ s.pinv_b
 
 
+def _checked_stack(s: MeasurementSettings, xs, what: str) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1:] != (s.m, s.m):
+        raise ValueError(f"{what} stack must be k x {s.m} x {s.m}, got {xs.shape}")
+    return xs
+
+
+def _square_sums(xs: np.ndarray) -> np.ndarray:
+    """_square_sum of each matrix of a finite (k, p, q) stack, bit for bit:
+    a stacked matmul of each flattened matrix with itself is one ddot. A sum
+    that overflows is inf without a warning, as vdot gives it."""
+    flat = xs.reshape(len(xs), 1, xs.shape[1] * xs.shape[2])
+    with np.errstate(over="ignore"):
+        return (flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
+
+
+def support_stack(model: str, s: MeasurementSettings, zs) -> np.ndarray:
+    """support(model, s, z) for each Z of a (k, m, m) stack, as a (k,) array.
+
+    One stacked frame A^T Z B, one values-only SVD of the (k, 3, 3) frames
+    and, for the quantum body only, one stacked determinant sign. On a
+    C-ordered stack each entry equals its scalar support bit for bit, and a
+    non-finite Z or an overflowing frame raises support's ValueError. The
+    stack bypasses the record slots.
+    """
+    _check_model(model)
+    frames = _frame(s, _checked_stack(s, zs, "coefficient"))
+    sv = np.linalg.svd(frames, compute_uv=False)
+    if model == SEP:
+        return sv[:, 0]
+    if model == QM:
+        return _signed(sv.T, _det_sign(frames, sv), -1.0)
+    return _trace(sv.T)
+
+
+def _range_verdicts(s: MeasurementSettings, cs: np.ndarray):
+    """_range_verdict for each C of a finite (k, m, m) stack, as (finite,
+    norm_c) arrays, with the scalar's rescale and its squares bit for bit."""
+    norm_sq = _square_sums(cs)
+    probe = cs
+    rescale = ~((_NORM_SQ_RANGE[0] <= norm_sq) & (norm_sq <= _NORM_SQ_RANGE[1]))
+    if rescale.any():
+        # frexp(0) has exponent 0, so a zero C stays zero, with norm 0
+        probe = cs.copy()
+        top = np.frexp(np.abs(cs[rescale]).max(axis=(1, 2)))[1]
+        probe[rescale] = np.ldexp(cs[rescale], -top[:, None, None])
+        norm_sq = _square_sums(probe)
+    norm_c = np.sqrt(norm_sq)
+    tol = RANGE_TOL * norm_c
+    finite = np.ones(len(cs), dtype=bool)
+    if s.rank_a < s.m:
+        finite &= ~(np.sqrt(_square_sums(probe - s.projector_a @ probe)) > tol)
+    if s.rank_b < s.m:
+        probe_t = np.swapaxes(probe, 1, 2)
+        finite &= ~(np.sqrt(_square_sums(probe_t - s.projector_b @ probe_t)) > tol)
+    return finite, norm_c
+
+
+def gauge_stack(model: str, s: MeasurementSettings, cs):
+    """gauge(model, s, c) for each C of a (k, m, m) stack, as (finite, value).
+
+    ``finite`` is the (k,) mask of the range tests, each run on its own C
+    with the scalar's rescale of a C whose squares leave _NORM_SQ_RANGE, and
+    ``value`` the (k,) gauges: inf out of range, 0.0 at C = 0, and otherwise
+    read off one stacked core A^+ C (B.T)^+, one values-only SVD and, for
+    the quantum body at full rank, one stacked determinant sign. On a
+    C-ordered stack each entry equals its scalar gauge bit for bit, and a
+    non-finite C or an overflowing core raises gauge's ValueError. The stack
+    bypasses the record slots.
+    """
+    _check_model(model)
+    cs = _checked_stack(s, cs, "correlation")
+    _square_sum(cs)
+    finite, norm_c = _range_verdicts(s, cs)
+    value = np.where(finite, 0.0, np.inf)
+    live = finite & (norm_c > 0.0)
+    cores = _gauge_core(s, cs[live])
+    sv = np.linalg.svd(cores, compute_uv=False)
+    if model == SEP:
+        value[live] = _trace(sv.T)
+    elif model == QM and s.r == 3:
+        value[live] = _signed(sv.T, _det_sign(cores, sv), 1.0)
+    else:
+        value[live] = sv[:, 0]
+    return finite, value
+
+
 def membership(model: str, s: MeasurementSettings, c, tol: float = 1e-9) -> bool:
     """Whether C lies in the model's correlation body, up to tol in gauge."""
     if not 0.0 <= tol < math.inf:
@@ -479,7 +566,9 @@ def extreme_point(model: str, s: MeasurementSettings, param) -> np.ndarray:
     For the separable body ``param`` is a pair of unit Bloch vectors
     (ra, rb) and the point is A ra rb.T B.T. For the quantum body it is an
     orthogonal 3x3 matrix with determinant -1, for the maximal body any
-    orthogonal matrix, and the point is A Q B.T.
+    orthogonal matrix, and the point is A Q B.T. These two also take a
+    (k, 3, 3) stack of such matrices and return the (k, m, m) stack of
+    points, each bit-equal to its single call.
     """
     _check_model(model)
     if model == SEP:
@@ -494,9 +583,10 @@ def extreme_point(model: str, s: MeasurementSettings, param) -> np.ndarray:
             raise ValueError("Bloch vectors must be unit length")
         return s.a @ np.outer(ra, rb) @ s.b.T
     q = np.asarray(param, dtype=float)
-    if (q.shape != (3, 3) or not np.all(np.isfinite(q))
-            or not np.linalg.norm(q.T @ q - np.eye(3)) <= UNIT_ROW_TOL * 10):
+    if (q.ndim not in (2, 3) or q.shape[-2:] != (3, 3) or not np.all(np.isfinite(q))
+            or not np.max(np.linalg.norm(np.swapaxes(q, -1, -2) @ q - np.eye(3),
+                                         axis=(-2, -1)), initial=0.0) <= UNIT_ROW_TOL * 10):
         raise ValueError("extreme points of this body take an orthogonal 3x3 matrix")
-    if model == QM and np.linalg.det(q) > 0:
+    if model == QM and np.any(np.linalg.det(q) > 0):
         raise ValueError("quantum extreme points need determinant -1")
     return s.a @ q @ s.b.T

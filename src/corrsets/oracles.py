@@ -176,24 +176,36 @@ def support_sep_oracle(s: MeasurementSettings, z, cfg: OracleConfig = DEFAULT_CO
     climbs monotonically and never exceeds the true support.
     """
     x = s.a.T @ np.asarray(z, dtype=float) @ s.b
+    return float(_sep_oracle_stack(x[None], cfg)[0])
+
+
+def _sep_oracle_stack(x: np.ndarray, cfg: OracleConfig) -> np.ndarray:
+    """support_sep_oracle on a (k, 3, 3) stack of frames X, as a (k,) array.
+
+    The sweeps run on the frames that have not converged yet: a frame leaves
+    the stack at the sweep where its own seeds stop moving, so each value is
+    bit-equal to the frame's single call.
+    """
     grid = fibonacci_sphere(cfg.grid_points)
-    scores = np.linalg.norm(grid @ x, axis=1)
+    scores = np.linalg.norm(grid @ x, axis=-1)
     k = min(cfg.restarts, cfg.grid_points)
-    u = grid[np.argpartition(scores, -k)[-k:]]
+    u = grid[np.argpartition(scores, -k, axis=-1)[:, -k:]]
     v = np.zeros_like(u)
+    live = np.arange(len(x))
     for _ in range(_REFINE_SWEEPS):
-        w = u @ x
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        v = np.where(nw > 0.0, w / np.where(nw > 0.0, nw, 1.0), v)
-        w = v @ x.T
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        u_next = np.where(nw > 0.0, w / np.where(nw > 0.0, nw, 1.0), u)
-        if np.max(np.abs(u_next - u)) < 1e-15:
-            u = u_next
+        xl, ul = x[live], u[live]
+        w = ul @ xl
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        vl = np.where(nw > 0.0, w / np.where(nw > 0.0, nw, 1.0), v[live])
+        w = vl @ np.swapaxes(xl, 1, 2)
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        u_next = np.where(nw > 0.0, w / np.where(nw > 0.0, nw, 1.0), ul)
+        u[live], v[live] = u_next, vl
+        live = live[~(np.max(np.abs(u_next - ul), axis=(1, 2)) < 1e-15)]
+        if not live.size:
             break
-        u = u_next
-    values = np.einsum("ri,ij,rj->r", u, x, v)
-    return max(0.0, float(values.max()))
+    best = np.einsum("kri,kij,krj->kr", u, x, v).max(axis=1)
+    return np.where(best > 0.0, best, 0.0)  # max(0.0, best), a NaN included
 
 
 def support_qm_oracle(s: MeasurementSettings, z) -> float:
@@ -330,17 +342,6 @@ def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
     return 0.5 * (w_plus + w_minus) / (sa * sb)
 
 
-def _support_batch(model: str, s: MeasurementSettings, zs: np.ndarray) -> np.ndarray:
-    """Closed-form support on a (k, m, m) stack of coefficient matrices."""
-    frames = np.einsum("ia,kij,jb->kab", s.a, zs, s.b)
-    sv, signs = signed_svals(frames)
-    if model == SEP:
-        return sv[:, 0]
-    if model == MAX:
-        return sv.sum(axis=1)
-    return sv[:, 0] + sv[:, 1] - sv[:, 2] * signs
-
-
 def gauge_dual_oracle(model: str, s: MeasurementSettings, c,
                       cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Best ratio <Z, C> / support(Z) over sampled coefficient directions.
@@ -351,7 +352,7 @@ def gauge_dual_oracle(model: str, s: MeasurementSettings, c,
     c = np.asarray(c, dtype=float)
     rng = np.random.default_rng(cfg.seed)
     zs = rng.standard_normal((cfg.samples, s.m, s.m))
-    phi = _support_batch(model, s, zs)
+    phi = geometry.support_stack(model, s, zs)
     num = np.einsum("kij,ij->k", zs, c)
     live = phi > 1e-15 * max(1.0, float(phi.max(initial=0.0)))
     best = float((num[live] / phi[live]).max(initial=0.0))
@@ -467,11 +468,20 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     """Random unit-row settings with both parties at the given rank.
 
     Rows are unit vectors drawn inside a shared rank-dimensional subspace,
-    one independent subspace per party.
+    one independent subspace per party. Both parties' first tries are one
+    normal block and one stacked _party_rows call, bit-equal to drawing
+    them one after the other.
     """
     if not 1 <= rank <= min(3, m):
         raise ValueError(f"rank must be between 1 and min(3, m)={min(3, m)}, got {rank}")
     rng = np.random.default_rng(rng)
+    state = rng.bit_generator.state
+    rows, ok = _party_rows(rng.standard_normal((2, 9 + m * rank)), m, rank)
+    if ok.all():
+        return MeasurementSettings(rows[0], rows[1])
+    # A party draws again, and its next try comes before the other party's
+    # first one: rewind and draw one try at a time.
+    rng.bit_generator.state = state
 
     def one_party():
         while True:
@@ -482,13 +492,20 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     return MeasurementSettings(one_party(), one_party())
 
 
-def random_product_state(rng) -> np.ndarray:
-    """Pure product state with Haar-uniform Bloch directions on both sides."""
+def random_product_state(rng, size: int | None = None) -> np.ndarray:
+    """Pure product state with Haar-uniform Bloch directions on both sides.
+
+    With ``size`` it returns a (size, 4, 4) stack from one (size, 2, 3)
+    normal block, the rng stream of ``size`` single calls, each state
+    bit-equal to its single call: the norms are stacked matmul dots (one
+    ddot each, as a 1-d np.linalg.norm), qubit_state takes the stacked
+    directions and the Kronecker product is the broadcast outer product.
+    """
     rng = np.random.default_rng(rng)
-    u, v = rng.standard_normal((2, 3))
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    return np.kron(qubit_state(u), qubit_state(v))
+    uv = rng.standard_normal((2, 3) if size is None else (size, 2, 3))
+    uv = uv / np.sqrt(uv[..., None, :] @ uv[..., :, None])[..., 0]
+    a, b = qubit_state(uv[..., 0, :]), qubit_state(uv[..., 1, :])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 def random_separable_state(rng) -> np.ndarray:
@@ -496,7 +513,7 @@ def random_separable_state(rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     k = int(rng.integers(1, _MAX_PRODUCT_TERMS + 1))
     weights = rng.dirichlet(np.ones(k))
-    return sum(w * random_product_state(rng) for w in weights)
+    return sum(w * state for w, state in zip(weights, random_product_state(rng, k)))
 
 
 def random_quantum_state(rng) -> np.ndarray:
@@ -522,13 +539,8 @@ def ratio_scan(s: MeasurementSettings, pair: str,
         component, inner = "O3", QM
     else:
         raise ValueError(f"pair must be {QM_OVER_SEP!r} or {MAX_OVER_QM!r}, got {pair!r}")
-    rng = np.random.default_rng(cfg.seed)
-    best = -np.inf
-    best_c = None
-    for _ in range(cfg.samples):
-        q = random_rotation(rng, component)
-        c = geometry.extreme_point(QM if inner == SEP else MAX, s, q)
-        value = geometry.gauge(inner, s, c).value
-        if value > best:
-            best, best_c = value, c
-    return ScanResult(float(best), best_c)
+    qs = random_rotation(cfg.seed, component, cfg.samples)
+    cs = geometry.extreme_point(QM if inner == SEP else MAX, s, qs)
+    values = geometry.gauge_stack(inner, s, cs)[1]
+    i = int(np.argmax(values))  # the first maximum, as a strict > scan keeps
+    return ScanResult(float(values[i]), cs[i].copy())

@@ -166,25 +166,28 @@ def norm_minus(x) -> float:
     return _signed_norm(*_signed_svals(_as_finite_3x3(x)), -1.0)
 
 
-def random_rotation(rng, component: str = "SO3") -> np.ndarray:
+def random_rotation(rng, component: str = "SO3", size: int | None = None) -> np.ndarray:
     """Haar-distributed 3x3 orthogonal matrix from the given component.
 
     ``rng`` may be an integer seed or a numpy Generator. Orthogonalizes an
     i.i.d. Gaussian matrix by QR and fixes the factor signs so the result
     is Haar on O(3); the determinant is then steered into the requested
     component by flipping the last column, which preserves the measure.
+    With ``size`` it returns a (size, 3, 3) stack from one (size, 3, 3)
+    normal block, which is the rng stream of ``size`` single calls, and
+    stacked ``qr`` and ``det``; each matrix is bit-equal to its single call.
     """
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((3, 3))
+    g = rng.standard_normal((3, 3) if size is None else (size, 3, 3))
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diagonal(r) >= 0, 1.0, -1.0)
-    d = np.linalg.det(q)
+    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)[..., None, :]
     if component == "SO3":
-        if d < 0:
-            q[:, 2] *= -1.0
+        flip = np.linalg.det(q) < 0
     elif component == "SO3_minus":
-        if d > 0:
-            q[:, 2] *= -1.0
-    elif component != "O3":
+        flip = np.linalg.det(q) > 0
+    elif component == "O3":
+        return q
+    else:
         raise ValueError(f"unknown component {component!r}")
+    q[..., 2] *= np.where(flip, -1.0, 1.0)[..., None]
     return q

@@ -277,8 +277,13 @@ def tau_state(p: float) -> np.ndarray:
 
 
 def qubit_state(bloch) -> np.ndarray:
-    """(I2 + r . sigma) / 2 for a Bloch vector with norm <= 1."""
+    """(I2 + r . sigma) / 2 for a Bloch vector with norm <= 1.
+
+    A (k, 3) stack of Bloch vectors gives the (k, 2, 2) stack of states,
+    each bit-equal to its single call.
+    """
     bloch = np.asarray(bloch, dtype=float)
-    if bloch.shape != (3,) or np.linalg.norm(bloch) > 1.0 + 1e-12:
+    if (bloch.ndim not in (1, 2) or bloch.shape[-1:] != (3,)
+            or np.any(np.linalg.norm(bloch, axis=-1) > 1.0 + 1e-12)):
         raise ValueError("need a Bloch vector of norm at most 1")
-    return (I2 + np.einsum("i,iuv->uv", bloch, PAULI)) / 2.0
+    return (I2 + np.einsum("...i,iuv->...uv", bloch, PAULI)) / 2.0

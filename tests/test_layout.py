@@ -23,7 +23,7 @@ MOVED = {"LEVI_CIVITA", "SpecialSvdResult", "special_svd", "max_trace_over_rotat
          "_gram_2x2", "_skew_2x2", "DEGENERATE_ANGLE_TOL"}
 # Wrappers and test-only helpers that no module defines any more.
 DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports",
-           "_numerical_rank"}
+           "_numerical_rank", "_support_batch"}
 
 
 def _imports_and_definitions(name):
@@ -139,9 +139,11 @@ def _calls_by_function(name):
 @pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
 def test_frames_and_cores_are_formed_only_by_the_record_constructors(name):
     # A frame or core formed anywhere else would bypass the settings' record
-    # slots and factor the same matrix a second time.
+    # slots and factor the same matrix a second time. The stacked forms take
+    # one stack of matrices at a time, which no slot would reuse.
     calls = _calls_by_function(name)
-    builders = {"_frame": {"_frame_record"}, "_gauge_core": {"_core_record"}}
+    builders = {"_frame": {"_frame_record", "support_stack"},
+                "_gauge_core": {"_core_record", "gauge_stack"}}
     for formed, owners in builders.items():
         assert calls.get(formed, set()) <= (owners if name == "geometry" else set())
     if name == "geometry":
@@ -155,3 +157,17 @@ def test_detect_reads_geometry_through_its_public_names():
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name) and node.value.id == "geometry"}
     assert attributes and not [n for n in imported | attributes if n.startswith("_")]
+
+
+def test_oracles_forms_no_frame_of_its_own():
+    # The dual oracle reads its sampled supports off geometry.support_stack;
+    # a second stacked support, with its own einsum frames of the settings
+    # rows, would differ from the production frames in the last bits.
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    einsums = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+               and getattr(n.func, "attr", getattr(n.func, "id", None)) == "einsum"]
+    assert einsums
+    assert not [n.lineno for n in einsums for arg in n.args
+                if isinstance(arg, ast.Attribute) and arg.attr in ("a", "b")]
+    assert "gauge_dual_oracle" in _calls_by_function("oracles")["support_stack"]
+    assert "ratio_scan" in _calls_by_function("oracles")["gauge_stack"]
