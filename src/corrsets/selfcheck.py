@@ -202,7 +202,7 @@ def _check_support_oracles(rng, sizes):
     support_sep_oracle, which gives the value its replay prints.
     """
     n = sizes["combo"]
-    cfg = OracleConfig(seed=int(rng.integers(2**31)), grid_points=1024, restarts=12)
+    cfg = OracleConfig(grid_points=1024, restarts=12)  # the oracle reads no seed
     worst = {SEP: _Worst(), QM: _Worst(), MAX: _Worst()}
     lower_breach = 0.0
     for m, rank in _COMBOS:
