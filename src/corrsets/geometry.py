@@ -28,6 +28,14 @@ again. The settings object keeps the last frame record and the last core
 record it made, so the three models and the optimizer share one frame, one
 core and one values-only SVD per matrix, and the three optimizers one full
 SVD of the core (see MeasurementSettings).
+
+support_stack and gauge_stack are the stacked forms for one settings
+object: a (k, m, m) stack of Z or C gives one stacked frame or core, one
+values-only SVD of the (k, 3, 3) stack, a stacked determinant sign where
+the quantum body reads one and, for the gauge, one range verdict per
+matrix. Each entry equals its scalar value bit for bit, since numpy's
+stacked matmul, SVD and slogdet equal their per-matrix calls (pinned in
+tests/test_stacked.py). The stacks bypass the record slots.
 Everything is deterministic and allocation-light; matrices stay small.
 """
 

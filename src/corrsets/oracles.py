@@ -19,6 +19,15 @@ per-party kernel take one instance or a stack, so the battery evaluates
 these routes, and draws its settings, once per stack. np.einsum runs its
 path search (einsum_path) on every call, even when given a fixed path, so
 stacking is what amortizes it: once per call over the whole stack.
+
+The sampled routes run on stacks too, each entry bit-equal to its
+one-instance form: the dual oracle scores its sampled Z with
+geometry.support_stack, the containment scan scores a stack of Haar
+rotations with geometry.gauge_stack, the separable-state sampler draws
+its product terms as one block, and the alternating sweeps of the
+separable-support oracle run over a stack of frames with a per-frame
+convergence mask (_sep_oracle_stack). No route here forms a frame of its
+own, so the sampled supports are the production supports.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import _NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _square_sum
-from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation, signed_svals
+from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation
 from .twoqubit import qubit_state
 
 

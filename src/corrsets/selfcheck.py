@@ -7,9 +7,10 @@ NaN deviation fails its check. The heavy checks draw their instances
 stacked by (m, rank), bit-identical to one-by-one draws, and evaluate the
 independent route on stacks grouped by m, while the production functions
 they test run once per instance; the replay is the instance that offering
-each deviation in turn would have picked. Every random settings size comes
-from _draw_size (m, then the rank), and the two gauge-duality checks share
-one draw-and-skip loop.
+each deviation in turn would have picked. The support-oracle check runs
+the separable oracle once per (m, rank) stack in the same way. Every
+random settings size comes from _draw_size (m, then the rank), and the two
+gauge-duality checks share one draw-and-skip loop.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.

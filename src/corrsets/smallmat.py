@@ -7,10 +7,11 @@ the operator and trace norms, the signed norms s1 + s2 +/- s3 * sgn(det),
 and Haar-distributed random rotations. The package has one
 signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
 (k, 3, 3) stack and applies the one determinant sign rule, dead_zone_sign
-(0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation. Kernels that only the verification
-battery uses live in oracles. Each norm is one private kernel on singular values
-already taken, which geometry calls directly; svdvals and pinv also take
-(k, p, q) stacks.
+(0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation, which
+with a size draws a (size, 3, 3) stack bit-equal to that many single
+draws. Kernels that only the verification battery uses live in oracles.
+Each norm is one private kernel on singular values already taken, which
+geometry calls directly; svdvals and pinv also take (k, p, q) stacks.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
