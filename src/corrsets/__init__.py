@@ -39,10 +39,12 @@ from .geometry import (
     correlation_matrix,
     extreme_point,
     gauge,
+    gauge_stack,
     membership,
     optimizer_z,
     planar_settings,
     support,
+    support_stack,
 )
 from .selfcheck import VerifyReport, run_battery
 from .twoqubit import (
@@ -68,10 +70,10 @@ __all__ = [
     "StateClass", "TableRow", "VerifyReport", "WitnessReport",
     "bell_operator", "bqs_witness", "chsh_settings", "chsh_value",
     "classify_state", "containment_radius", "correlation_matrix",
-    "critical_noise", "entanglement_witness", "extreme_point", "gauge",
+    "critical_noise", "entanglement_witness", "extreme_point", "gauge", "gauge_stack",
     "hull_state", "i3322_settings", "i3322_value", "max_entangled",
     "membership", "optimizer_z", "pauli_assemble", "pauli_expand",
     "pauli_settings", "partial_transpose", "planar_settings", "rho_max",
-    "rotated_settings", "run_battery", "support", "table1", "tau_state",
+    "rotated_settings", "run_battery", "support", "support_stack", "table1", "tau_state",
     "werner_state", "witness_report",
 ]
