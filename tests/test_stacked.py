@@ -15,8 +15,9 @@ import pytest
 
 from corrsets import oracles
 from corrsets.detect import MAX_OVER_QM, QM_OVER_SEP, chsh_settings, pauli_settings
-from corrsets.geometry import (MAX, MODELS, QM, SEP, MeasurementSettings, extreme_point,
-                               gauge, gauge_stack, support, support_stack)
+from corrsets.geometry import (MAX, MODELS, QM, SEP, MeasurementSettings, _square_sum,
+                               _square_sums, extreme_point, gauge, gauge_stack, support,
+                               support_stack)
 from corrsets.oracles import (OracleConfig, _sep_oracle_stack, random_product_state,
                               random_separable_state, random_settings, ratio_scan,
                               support_sep_oracle)
@@ -91,6 +92,14 @@ def test_support_stack_is_the_scalar_support(m, rank):
         fresh = MeasurementSettings(s.a, s.b)
         assert hexes(got) == hexes([support(model, fresh, z) for z in zs])
     assert support_stack(QM, s, zs[:0]).shape == (0,)
+
+
+def test_stacked_square_sums_are_the_scalar_square_sums():
+    # the norms and range deficits of gauge_stack keep the scalar bits
+    rng = np.random.default_rng(6)
+    for m in (1, 2, 3, 4, 5):
+        xs = rng.standard_normal((500, m, m))
+        assert hexes(_square_sums(xs)) == hexes([_square_sum(x) for x in xs])
 
 
 @pytest.mark.filterwarnings("error")  # the scalar gauge warns on none of these
