@@ -80,7 +80,9 @@ class MeasurementSettings:
 
     Both parties live in one read-only (2, m, 3) stack, a copy of the input
     built by the constructor, and ``a`` and ``b`` are views into it. One
-    unit-row check covers both. What is cached on first use comes from one
+    unit-row check covers both. The random samplers build through the
+    private _from_unit_rows, which takes a read-only stack of rows they
+    have just normalized as it is. What is cached on first use comes from one
     stacked call per kind, for both parties at once: the singular values
     (ranks), the pseudoinverses, the projectors A A^+ and B B^+ onto the
     column spaces, and the row-space bases. The per-party attributes are
@@ -123,9 +125,21 @@ class MeasurementSettings:
         bad = ~(np.abs(norms - 1.0) <= UNIT_ROW_TOL)
         if bad.any():
             raise ValueError(f"rows of {'A' if bad[0].any() else 'B'} must be unit vectors")
+        self._adopt(stack)
+
+    def _adopt(self, stack: np.ndarray) -> None:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "a", stack[0])
         object.__setattr__(self, "b", stack[1])
+
+    @classmethod
+    def _from_unit_rows(cls, stack: np.ndarray) -> MeasurementSettings:
+        """Settings on a read-only (2, m, 3) stack of rows known to be unit
+        vectors, such as oracles._party_rows has just normalized; the stack
+        is neither copied nor checked."""
+        s = object.__new__(cls)
+        s._adopt(stack)
+        return s
 
     @cached_property
     def m(self) -> int:
@@ -219,9 +233,9 @@ def planar_settings(alpha: float, beta: float, rng=None) -> MeasurementSettings:
     a = np.array([[1.0, 0.0, 0.0], [np.cos(alpha), np.sin(alpha), 0.0]])
     b = np.array([[1.0, 0.0, 0.0], [np.cos(beta), np.sin(beta), 0.0]])
     if rng is not None:
-        rng = np.random.default_rng(rng)
-        a = a @ random_rotation(rng, "SO3").T
-        b = b @ random_rotation(rng, "SO3").T
+        rot_a, rot_b = random_rotation(rng, "SO3", 2)  # two single draws, bit for bit
+        a = a @ rot_a.T
+        b = b @ rot_b.T
     return MeasurementSettings(a, b)
 
 

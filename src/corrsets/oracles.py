@@ -13,12 +13,14 @@ optimization-based routes are monotone lower bounds, so they can only fail
 in one direction. The kernels the routes and checks need (the
 rotation-factored SVD, the Procrustes maximizer over rotation components,
 which reads its argmax off that SVD, the intrinsic determinant) and the
-random settings and state samplers live here as well. The intrinsic
-determinant, the Gram-picture supports and the settings sampler's
-per-party kernel take one instance or a stack, so the battery evaluates
-these routes, and draws its settings, once per stack. np.einsum runs its
-path search (einsum_path) on every call, even when given a fixed path, so
-stacking is what amortizes it: once per call over the whole stack.
+random settings and state samplers live here as well. The rotation-factored
+SVD, the intrinsic determinant, the Gram-picture supports and the settings
+sampler's per-party kernel take one instance or a stack, so the battery
+evaluates these routes, and draws its settings, once per stack. The
+sampler normalizes the rows it draws, so the settings take them
+unchecked. np.einsum runs its path search (einsum_path) on every call,
+even when given a fixed path, so stacking is what amortizes it: once per
+call over the whole stack.
 
 The sampled routes run on stacks too, each entry bit-equal to its
 one-instance form: the dual oracle scores its sampled Z with
@@ -40,7 +42,8 @@ import numpy as np
 
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
-from .geometry import _NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _square_sum
+from .geometry import (_NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _read_only,
+                       _square_sum)
 from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation
 from .twoqubit import qubit_state
 
@@ -80,7 +83,7 @@ _DET3_PATH = ["einsum_path", (0, 1), (0, 2), (1, 2), (0, 1)]
 
 
 class SpecialSvdResult(NamedTuple):
-    """Rotation-factored SVD of a 3x3 matrix.
+    """Rotation-factored SVD of a 3x3 matrix, or of each matrix of a stack.
 
     ``u`` and ``v`` are proper rotations (determinant +1) and
     ``x = u @ diag(s) @ v.T`` where ``s = (s1, s2, s3 * sgn(det x))``
@@ -98,20 +101,21 @@ def special_svd(x) -> SpecialSvdResult:
     Starts from the ordinary SVD and absorbs a reflection, if present, into
     the last column of each factor so that det(u) = det(v) = +1. The
     compensating sign lands on the third singular value, which therefore
-    has the sign of det(x).
+    has the sign of det(x). A (k, 3, 3) stack gives (k, 3, 3) factors and
+    (k, 3) values from one stacked svd and two stacked det calls, each
+    entry bit-equal to its single call.
     """
-    x = _as_finite_matrix(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"special_svd needs a 3x3 matrix, got {x.shape}")
+    x = _as_finite_matrix(x, stack=True)
+    if x.shape[-2:] != (3, 3):
+        raise ValueError(f"special_svd needs a 3x3 matrix or a (k, 3, 3) stack, got {x.shape}")
     u, s, vt = np.linalg.svd(x)
-    u = u.copy()
-    v = vt.T.copy()
-    su = 1.0 if np.linalg.det(u) > 0 else -1.0
-    sv = 1.0 if np.linalg.det(v) > 0 else -1.0
-    u[:, 2] *= su
-    v[:, 2] *= sv
-    signed = np.array([s[0], s[1], s[2] * su * sv])
-    return SpecialSvdResult(u, signed, v)
+    v = np.swapaxes(vt, -1, -2).copy()
+    su = np.where(np.linalg.det(u) > 0, 1.0, -1.0)
+    sv = np.where(np.linalg.det(v) > 0, 1.0, -1.0)
+    u[..., 2] *= su[..., None]
+    v[..., 2] *= sv[..., None]
+    s[..., 2] *= su * sv
+    return SpecialSvdResult(u, s, v)
 
 
 def max_trace_over_rotations(x, component: str = "SO3"):
@@ -479,7 +483,7 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     Rows are unit vectors drawn inside a shared rank-dimensional subspace,
     one independent subspace per party. Both parties' first tries are one
     normal block and one stacked _party_rows call, bit-equal to drawing
-    them one after the other.
+    them one after the other, and the settings take those rows unchecked.
     """
     if not 1 <= rank <= min(3, m):
         raise ValueError(f"rank must be between 1 and min(3, m)={min(3, m)}, got {rank}")
@@ -487,7 +491,7 @@ def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     state = rng.bit_generator.state
     rows, ok = _party_rows(rng.standard_normal((2, 9 + m * rank)), m, rank)
     if ok.all():
-        return MeasurementSettings(rows[0], rows[1])
+        return MeasurementSettings._from_unit_rows(_read_only(rows))
     # A party draws again, and its next try comes before the other party's
     # first one: rewind and draw one try at a time.
     rng.bit_generator.state = state

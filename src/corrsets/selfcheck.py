@@ -8,9 +8,14 @@ stacked by (m, rank), bit-identical to one-by-one draws, and evaluate the
 independent route on stacks grouped by m, while the production functions
 they test run once per instance; the replay is the instance that offering
 each deviation in turn would have picked. The support-oracle check runs
-the separable oracle once per (m, rank) stack in the same way. Every
-random settings size comes from _draw_size (m, then the rank), and the two
-gauge-duality checks share one draw-and-skip loop.
+the separable oracle once per (m, rank) stack in the same way, the
+Bell-spectrum check takes one stacked special SVD of its frames, and the
+rigidity check draws all its forms first and runs one stacked descent on
+the local forms and one on the bare forms. Every random settings size
+comes from _draw_size (m, then the rank). Every check that draws random
+settings of random sizes draws them through _random_instances, with an
+m x m Z or the 3x3 normals of a C after each, and the two gauge-duality
+checks share one draw-and-skip loop.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.
@@ -151,22 +156,24 @@ def _draw_settings(rng, m_stop=6):
     return oracles.random_settings(rng, *_draw_size(rng, m_stop))
 
 
-def _random_instance(rng):
-    """One (settings, Z) draw: settings from _draw_settings, then a Gaussian Z."""
-    s = _draw_settings(rng)
-    return s, rng.standard_normal((s.m, s.m))
+def _random_instance(rng, m_stop=6, tail=None):
+    """One (settings, X) draw: settings from _draw_settings, then a Gaussian X
+    of shape tail, or a Z of shape (m, m) by default."""
+    s = _draw_settings(rng, m_stop)
+    return s, rng.standard_normal(tail or (s.m, s.m))
 
 
-def _random_instances(rng, n):
+def _random_instances(rng, n, m_stop=6, tail=None):
     """n _random_instance draws: the same rng calls (a normal block per instance
-    for both parties' first tries and Z), linear algebra once per (m, rank).
-    A party that would draw again rewinds the rng to draw one by one."""
+    for both parties' first tries and X), linear algebra once per (m, rank).
+    The settings take the drawn rows unchecked. A party that would draw again
+    rewinds the rng to draw one by one."""
     state = rng.bit_generator.state
     groups, blocks = {}, []
     for i in range(n):
-        m, rank = _draw_size(rng)
+        m, rank = _draw_size(rng, m_stop)
         groups.setdefault((m, rank), []).append(i)
-        blocks.append(rng.standard_normal(2 * (9 + m * rank) + m * m))
+        blocks.append(rng.standard_normal(2 * (9 + m * rank) + math.prod(tail or (m, m))))
     instances = [None] * n
     for (m, rank), idx in groups.items():
         g = np.stack([blocks[i] for i in idx])
@@ -174,9 +181,10 @@ def _random_instances(rng, n):
         rows, ok = oracles._party_rows(g[:, :2 * p].reshape(-1, 2, p), m, rank)
         if not ok.all():
             rng.bit_generator.state = state
-            return [_random_instance(rng) for _ in range(n)]
-        for i, (a, b), z in zip(idx, rows, g[:, 2 * p:].reshape(-1, m, m)):
-            instances[i] = (MeasurementSettings(a, b), z)
+            return [_random_instance(rng, m_stop, tail) for _ in range(n)]
+        rows.setflags(write=False)
+        for i, stack, x in zip(idx, rows, g[:, 2 * p:].reshape((-1,) + (tail or (m, m)))):
+            instances[i] = (MeasurementSettings._from_unit_rows(stack), x)
     return instances
 
 
@@ -234,20 +242,21 @@ def _check_support_oracles(rng, sizes):
     ]
 
 
-def _random_finite_c(rng, s):
-    """Correlation-type matrix guaranteed compatible with the setting ranges."""
-    c = s.a @ rng.standard_normal((3, 3)) @ s.b.T
+def _finite_c(s, g):
+    """Correlation-type matrix guaranteed compatible with the setting ranges,
+    A g B.T for a 3x3 g, scaled to unit norm."""
+    c = s.a @ g @ s.b.T
     norm = np.linalg.norm(c)
     return c / norm if norm > 0 else c
 
 
 def _finite_gauge_draws(rng, n, m_stop):
     """(model, settings, C, gauge) for n draws per model, in MODELS order,
-    keeping only those whose gauge is finite and above 1e-12."""
+    keeping only those whose gauge is finite and above 1e-12. Each model's
+    settings and the 3x3 normals of their C are one _random_instances draw."""
     for model in geometry.MODELS:
-        for _ in range(n):
-            s = _draw_settings(rng, m_stop)
-            c = _random_finite_c(rng, s)
+        for s, x in _random_instances(rng, n, m_stop, (3, 3)):
+            c = _finite_c(s, x)
             g = geometry.gauge(model, s, c)
             if g.finite and g.value > 1e-12:
                 yield model, s, c, g
@@ -320,7 +329,7 @@ def _check_m2_forms(rng, sizes):
             beta = rng.uniform(0.05, np.pi - 0.05)
         s = geometry.planar_settings(alpha, beta, rng)
         z = rng.standard_normal((2, 2))
-        c = _random_finite_c(rng, s)
+        c = _finite_c(s, rng.standard_normal((3, 3)))
 
         checks = []
         for model in (SEP, QM):
@@ -488,12 +497,19 @@ def _check_gram_equivalence(rng, sizes):
 
 
 def _check_bell_spectrum(rng, sizes):
-    """Operator eigenvalues equal the odd signed sums of the special SVD."""
+    """Operator eigenvalues equal the odd signed sums of the special SVD.
+
+    The frames are formed per m and take one stacked special_svd; the
+    operators come from bell_operator, once per instance.
+    """
     n = sizes["identity"]
     signs = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]])
     instances = _random_instances(rng, n)
-    tilde = np.array([special_svd(s.a.T @ z @ s.b).s for s, z in instances])
-    predicted = np.array([np.sort(signs @ t) for t in tilde])
+    frames = np.empty((n, 3, 3))
+    for idx, a, b, z in _stacks(instances):
+        frames[idx] = np.swapaxes(a, 1, 2) @ z @ b
+    tilde = special_svd(frames).s
+    predicted = np.sort(tilde @ signs.T, axis=1)
     actual = np.linalg.eigvalsh(np.array([twoqubit.bell_operator(s, z)
                                           for s, z in instances]))
     devs = (np.abs(predicted - actual).max(axis=1)
@@ -663,9 +679,8 @@ def _check_symmetry(rng, sizes):
     genuinely asymmetric."""
     n = max(10, sizes["identity"] // 20)
     worst = 0.0
-    for _ in range(n):
-        s = _draw_settings(rng)
-        c = _random_finite_c(rng, s)
+    for s, x in _random_instances(rng, n, tail=(3, 3)):
+        c = _finite_c(s, x)
         for model in (SEP, MAX):
             plus = geometry.gauge(model, s, c)
             minus = geometry.gauge(model, s, -c)
@@ -690,7 +705,7 @@ def _check_hull_membership(rng, sizes):
     for model in geometry.MODELS:
         s = oracles.random_settings(rng, 3, 3)
         for _ in range(n):
-            c = _random_finite_c(rng, s)
+            c = _finite_c(s, rng.standard_normal((3, 3)))
             g = geometry.gauge(model, s, c)
             if not g.finite or g.value <= 1e-9:
                 continue
@@ -733,10 +748,13 @@ def _check_rigidity(rng, sizes):
     """Orthogonal correlation blocks admit no local Bloch vectors.
 
     Nonzero local parts must break block positivity by at least the slice
-    bound |r_A - Q r_B|; zero local parts sit exactly on the boundary.
+    bound |r_A - Q r_B|; zero local parts sit exactly on the boundary. Every
+    instance is drawn first; then one stacked descent runs on the local
+    forms and one on the bare forms, which take one start fewer. The worst
+    instance is replayed through block_positivity_minimum.
     """
     n = sizes["rigidity"]
-    worst = _Worst()
+    draws = []  # (local, q, ra, rb, slice bound, seed) per kept instance
     for i in range(n):
         q = random_rotation(rng, "O3")
         local = i % 2 == 0
@@ -748,11 +766,24 @@ def _check_rigidity(rng, sizes):
                 continue
         else:
             ra = rb = np.zeros(3)
+            slice_bound = 0.0
+        draws.append((local, q, ra, rb, slice_bound, int(rng.integers(2**31))))
+    local, q, ra, rb, bound, seeds = map(np.array, zip(*draws))
+    values = np.empty(len(draws))
+    for kind in (local, ~local):
+        values[kind] = twoqubit._block_positivity_stack(ra[kind], rb[kind], q[kind], 16,
+                                                        seeds[kind].tolist())[0]
+    # a local minimum must dip at least as low as the slice bound says; np.maximum
+    # keeps a NaN, as _nanmax does
+    devs = np.where(local, np.maximum(0.0, values + bound), np.abs(values))
+
+    def replay(k):
         value, _, _ = twoqubit.block_positivity_minimum(
-            twoqubit.PauliForm(1.0, ra, rb, q), restarts=16, seed=int(rng.integers(2**31)))
-        # a local minimum must dip at least as low as the slice bound says
-        dev = _nanmax(0.0, value + slice_bound) if local else abs(value)
-        worst.offer(dev, q=q, value=value, case="local" if local else "bare")
+            twoqubit.PauliForm(1.0, ra[k], rb[k], q[k]), restarts=16, seed=int(seeds[k]))
+        return dict(q=q[k], value=value, case="local" if local[k] else "bare")
+
+    worst = _Worst()
+    worst.offer_stack(devs, replay)
     return [worst.result("extremal-rigidity", n, 1e-7)]
 
 

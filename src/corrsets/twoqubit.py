@@ -10,8 +10,11 @@ and PauliForm holds the tuple (weight, ra, rb, t). One table of the sixteen
 products s_i x s_j (s_0 = I) serves the expansion, the assembly and the
 Theta map. The state classifier decides quantumness and separability
 eagerly from two eigenvalue computations and runs the block-positivity
-descent only when its result is first read. The random state samplers that
-the verification battery draws from live in oracles.
+descent only when its result is first read. The descent is one stacked
+core over n forms, each with its own seed and its own convergence stop;
+block_positivity_minimum is its one-form wrapper, and the verification
+battery's rigidity check runs it on whole stacks. The random state
+samplers that the battery draws from live in oracles.
 """
 
 from __future__ import annotations
@@ -161,41 +164,61 @@ def block_positivity_minimum(p: PauliForm, restarts: int = 64, seed: int = 0):
         raise ValueError("block positivity check expects a unit-trace form")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    ra = np.asarray(p.ra, dtype=float)
-    rb = np.asarray(p.rb, dtype=float)
-    t = np.asarray(p.t, dtype=float)
+    ra, rb, t = (np.asarray(x, dtype=float)[None] for x in (p.ra, p.rb, p.t))
+    value, u, v = _block_positivity_stack(ra, rb, t, restarts, [seed])
+    return float(value[0]), u[0], v[0]
 
-    rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, 3))
-    u_sing, _, vt_sing = np.linalg.svd(t)
-    extra = [u_sing.T, -u_sing.T]
-    if np.linalg.norm(ra) > 1e-12:
-        extra.append(-ra[None, :] / np.linalg.norm(ra))
-    u = np.concatenate([starts] + extra, axis=0)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+
+def _unit_descent(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """-w / |w| row by row, keeping the fallback row where |w| <= 1e-15."""
+    nw = np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.where(nw > 1e-15, -w / np.where(nw > 0, nw, 1.0), fallback)
+
+
+def _block_positivity_stack(ra, rb, t, restarts: int, seeds):
+    """block_positivity_minimum on n forms at once, each with its own seed.
+
+    ra and rb are (n, 3) and t is (n, 3, 3). Either every form has a local
+    part ra (|ra| > 1e-12), which adds the start -ra / |ra|, or none has:
+    all forms of one stack have the same number of starts. The sweeps run
+    on the forms whose own starts still move, so each form stops at the
+    sweep its single call stops at, and each (value, u, v) is bit-equal to
+    that call. Returns (n,) values and the (n, 3) minimizers u and v.
+    """
+    n = len(t)
+    starts = [np.random.default_rng(seed).standard_normal((restarts, 3)) for seed in seeds]
+    sing = np.swapaxes(np.linalg.svd(t)[0], 1, 2)
+    extra = [sing, -sing]
+    norm_ra = np.linalg.norm(ra, axis=-1)
+    local = norm_ra > 1e-12
+    if local.all():
+        extra.append(-ra[:, None, :] / norm_ra[:, None, None])
+    elif local.any():
+        raise ValueError("a stack takes forms that all have, or all lack, a local part")
+    u = np.concatenate([np.reshape(starts, (n, restarts, 3))] + extra, axis=1)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     v = np.zeros_like(u)
-    v[:, 0] = 1.0
+    v[..., 0] = 1.0
 
+    t_rows = np.swapaxes(t, 1, 2)
+    live = np.arange(n)
     for _ in range(200):
-        w = rb + u @ t                      # rb + t.T u, per start
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        v = np.where(nw > 1e-15, -w / np.where(nw > 0, nw, 1.0), v)
-        g = ra + v @ t.T                    # ra + t v, per start
-        ng = np.linalg.norm(g, axis=1, keepdims=True)
-        u_next = np.where(ng > 1e-15, -g / np.where(ng > 0, ng, 1.0), u)
-        if np.max(np.abs(u_next - u)) < 1e-14:
-            u = u_next
+        ul = u[live]
+        vl = _unit_descent(rb[live, None] + ul @ t[live], v[live])  # rb + t.T u, per start
+        u_next = _unit_descent(ra[live, None] + vl @ t_rows[live], ul)  # ra + t v
+        u[live], v[live] = u_next, vl
+        live = live[~(np.max(np.abs(u_next - ul), axis=(1, 2)) < 1e-14)]
+        if not live.size:
             break
-        u = u_next
 
     # One closing v-step so the reported pair is block-consistent.
-    w = rb + u @ t
-    nw = np.linalg.norm(w, axis=1, keepdims=True)
-    v = np.where(nw > 1e-15, -w / np.where(nw > 0, nw, 1.0), v)
+    v = _unit_descent(rb[:, None] + u @ t, v)
 
-    values = 1.0 + u @ ra + v @ rb + np.einsum("ri,ij,rj->r", u, t, v)
-    best = int(np.argmin(values))
-    return float(values[best]), u[best], v[best]
+    values = (1.0 + (u @ ra[..., None])[..., 0] + (v @ rb[..., None])[..., 0]
+              + np.einsum("nri,nij,nrj->nr", u, t, v))
+    best = np.argmin(values, axis=1)
+    k = np.arange(n)
+    return values[k, best], u[k, best], v[k, best]
 
 
 def classify_state(rho) -> StateClass:

@@ -1,6 +1,7 @@
 """The verification battery's bookkeeping: stacked offers pick the same
 replay as sequential ones, and a NaN deviation fails its check."""
 
+import itertools
 import math
 
 import numpy as np
@@ -133,13 +134,21 @@ def test_draw_settings_keeps_the_rng_order(m_stop):
         assert rng.random() == ref.random()
 
 
-def _assert_instances_match_one_by_one_draws(seed, n):
+def _one_by_one(rng, m_stop, tail):
+    """A settings draw and its normals as the checks drew them before they
+    shared the stacked draw: a Z of shape (m, m), or the 3x3 block of a C."""
+    s = selfcheck._draw_settings(rng, m_stop)
+    return s, rng.standard_normal(tail or (s.m, s.m))
+
+
+def _assert_instances_match_one_by_one_draws(seed, n, m_stop=6, tail=None):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = selfcheck._random_instances(rng, n)
+    got = selfcheck._random_instances(rng, n, m_stop, tail)
     assert len(got) == n
-    for (s, z), (t, y) in zip(got, [selfcheck._random_instance(ref) for _ in range(n)]):
+    for (s, z), (t, y) in zip(got, [_one_by_one(ref, m_stop, tail) for _ in range(n)]):
         assert np.array_equal(s.a, t.a) and np.array_equal(s.b, t.b)
         assert np.array_equal(z, y)
+        assert s.m < m_stop
     assert rng.random() == ref.random()
 
 
@@ -149,6 +158,15 @@ def test_random_instances_are_the_one_by_one_draws(n):
     # every rng draw after them stay as they were
     for seed in range(8):
         _assert_instances_match_one_by_one_draws(seed, n)
+
+
+@pytest.mark.parametrize("m_stop", [5, 6])
+@pytest.mark.parametrize("n", [1, 13, 150])
+def test_c_draws_are_the_one_by_one_draws(n, m_stop):
+    # the gauge-duality and symmetry checks draw the 3x3 normals of a C
+    # after each settings, where the other checks draw an m x m Z
+    for seed in range(8):
+        _assert_instances_match_one_by_one_draws(seed, n, m_stop, (3, 3))
 
 
 def test_a_redraw_rewinds_the_rng_and_draws_one_by_one(monkeypatch):
@@ -165,10 +183,10 @@ def test_a_redraw_rewinds_the_rng_and_draws_one_by_one(monkeypatch):
         return rows, ok
 
     monkeypatch.setattr(oracles, "_party_rows", reject_a_stacked_block)
-    for seed in range(4):
+    for seed, tail in itertools.product(range(4), (None, (3, 3))):
         stacked_rejections.clear()
         single_calls.clear()
-        _assert_instances_match_one_by_one_draws(seed, 40)
+        _assert_instances_match_one_by_one_draws(seed, 40, tail=tail)
         assert len(stacked_rejections) == 1
         # the fallback plus the reference: one two-party call per instance, twice
         assert len(single_calls) == 2 * 40
@@ -191,16 +209,25 @@ def test_finite_gauge_draws_skip_and_keep_model_order(monkeypatch):
 
 
 def test_rigidity_runs_one_descent_per_instance_with_zero_bare_parts(monkeypatch):
-    forms = []
-    real = twoqubit.block_positivity_minimum
+    stacks, replays = [], []
+    real_stack, real_public = twoqubit._block_positivity_stack, twoqubit.block_positivity_minimum
 
-    def spy(p, restarts, seed):
-        forms.append(p)
-        return real(p, restarts=restarts, seed=seed)
+    def stack_spy(ra, rb, t, restarts, seeds):
+        stacks.append((ra, rb))
+        return real_stack(ra, rb, t, restarts, seeds)
 
-    monkeypatch.setattr(twoqubit, "block_positivity_minimum", spy)
+    def public_spy(p, restarts, seed):
+        replays.append(p)
+        return real_public(p, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(twoqubit, "_block_positivity_stack", stack_spy)
+    monkeypatch.setattr(twoqubit, "block_positivity_minimum", public_spy)
     result, = selfcheck._check_rigidity(np.random.default_rng(3), {"rigidity": 20})
     assert result.passed and result.instances == 20
-    assert len(forms) in range(11, 21)
-    bare = [p for p in forms if not (p.ra.any() or p.rb.any())]
-    assert len(bare) == 10
+    # one stack of local forms and one of bare forms, then the worst instance
+    # replayed through the public descent, which runs the stack on its one form
+    assert len(stacks) == 3 and len(replays) == 1 and len(stacks[2][0]) == 1
+    assert sum(len(ra) for ra, _ in stacks[:2]) in range(11, 21)
+    bare = [ra for ra, rb in stacks[:2] if not (ra.any() or rb.any())]
+    local = [ra for ra, _ in stacks[:2] if np.all(np.linalg.norm(ra, axis=1) > 1e-12)]
+    assert len(bare) == len(local) == 1 and len(bare[0]) == 10

@@ -1,8 +1,10 @@
 """Stacked routes against their one-instance forms, bit for bit.
 
 The stacked support and gauge, the stacked separable-support oracle, the
-stacked samplers and the stacked containment scan each promise that every
-entry equals its one-instance call. Values are compared by float.hex, so a
+stacked samplers, the stacked containment scan, the stacked
+block-positivity descent and the stacked special SVD each promise that
+every entry equals its one-instance call, and settings built unchecked on
+drawn rows equal settings built by the public constructor. Values are compared by float.hex, so a
 moved last bit or a flipped zero sign fails. The first test pins the numpy
 premise all of them rest on: a stacked call of each kernel equals its
 per-matrix calls.
@@ -13,16 +15,18 @@ import warnings
 import numpy as np
 import pytest
 
-from corrsets import oracles
+from corrsets import oracles, selfcheck, twoqubit
 from corrsets.detect import MAX_OVER_QM, QM_OVER_SEP, chsh_settings, pauli_settings
-from corrsets.geometry import (MAX, MODELS, QM, SEP, MeasurementSettings, _square_sum,
-                               _square_sums, extreme_point, gauge, gauge_stack, support,
-                               support_stack)
+from corrsets.geometry import (MAX, MODELS, QM, SEP, UNIT_ROW_TOL, MeasurementSettings,
+                               _square_sum, _square_sums, extreme_point, gauge, gauge_stack,
+                               planar_settings, support, support_stack)
 from corrsets.oracles import (OracleConfig, _sep_oracle_stack, random_product_state,
-                              random_separable_state, random_settings, ratio_scan,
-                              support_sep_oracle)
+                              random_quantum_state, random_separable_state, random_settings,
+                              ratio_scan, special_svd, support_sep_oracle)
 from corrsets.smallmat import random_rotation
-from corrsets.twoqubit import PAULI, qubit_state
+from corrsets.twoqubit import (PAULI, PauliForm, _block_positivity_stack,
+                               block_positivity_minimum, classify_state, pauli_expand,
+                               qubit_state, rho_max, tau_state, werner_state)
 
 COMBOS = [(m, rank) for m in (1, 2, 3, 4, 5) for rank in (1, 2, 3) if rank <= m]
 
@@ -328,3 +332,168 @@ def test_ratio_scan_is_the_scalar_loop(pair):
         value, c = _scan_loop(s, pair, cfg)
         assert float.hex(got.value) == float.hex(float(value))
         assert hexes(got.maximizer_c) == hexes(c)
+
+
+def _old_block_positivity(ra, rb, t, restarts, seed):
+    """The descent as it was written before its stacked core, with the sweep
+    at which it stopped (200 when it ran to the cap)."""
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal((restarts, 3))
+    u_sing, _, _ = np.linalg.svd(t)
+    extra = [u_sing.T, -u_sing.T]
+    if np.linalg.norm(ra) > 1e-12:
+        extra.append(-ra[None, :] / np.linalg.norm(ra))
+    u = np.concatenate([starts] + extra, axis=0)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.zeros_like(u)
+    v[:, 0] = 1.0
+    sweeps = 200
+    for sweep in range(200):
+        w = rb + u @ t
+        nw = np.linalg.norm(w, axis=1, keepdims=True)
+        v = np.where(nw > 1e-15, -w / np.where(nw > 0, nw, 1.0), v)
+        g = ra + v @ t.T
+        ng = np.linalg.norm(g, axis=1, keepdims=True)
+        u_next = np.where(ng > 1e-15, -g / np.where(ng > 0, ng, 1.0), u)
+        if np.max(np.abs(u_next - u)) < 1e-14:
+            u = u_next
+            sweeps = sweep + 1
+            break
+        u = u_next
+    w = rb + u @ t
+    nw = np.linalg.norm(w, axis=1, keepdims=True)
+    v = np.where(nw > 1e-15, -w / np.where(nw > 0, nw, 1.0), v)
+    values = 1.0 + u @ ra + v @ rb + np.einsum("ri,ij,rj->r", u, t, v)
+    best = int(np.argmin(values))
+    return (float(values[best]), u[best], v[best]), sweeps
+
+
+def _descent_forms(rng, n, local):
+    """Rigidity-type forms: O(3) blocks, some scaled or replaced by Gaussian
+    ones, with small local parts (a third of them coupled, rb = q.T ra) or
+    none."""
+    t = random_rotation(rng, "O3", n)
+    t[: n // 4] *= rng.uniform(0.3, 1.5, (n // 4, 1, 1))
+    t[n // 4: n // 2] = rng.standard_normal((n // 2 - n // 4, 3, 3))
+    if not local:
+        return np.zeros((n, 3)), np.zeros((n, 3)), t
+    ra = 0.2 * rng.standard_normal((n, 3))
+    rb = 0.2 * rng.standard_normal((n, 3))
+    rb[: n // 3] = np.einsum("nji,nj->ni", t[: n // 3], ra[: n // 3])
+    return ra, rb, t
+
+
+@pytest.mark.parametrize("restarts", [8, 16, 24, 64])
+@pytest.mark.parametrize("local", [True, False])
+def test_stacked_descent_is_the_single_call(restarts, local):
+    rng = np.random.default_rng(restarts + local)
+    ra, rb, t = _descent_forms(rng, 40, local)
+    seeds = rng.integers(2**31, size=40).tolist()
+    values, us, vs = _block_positivity_stack(ra, rb, t, restarts, seeds)
+    sweeps = set()
+    for i, seed in enumerate(seeds):
+        (value, u, v), stop = _old_block_positivity(ra[i], rb[i], t[i], restarts, seed)
+        sweeps.add(stop)
+        assert hexes([values[i], *us[i], *vs[i]]) == hexes([value, *u, *v])
+        value, u, v = block_positivity_minimum(PauliForm(1.0, ra[i], rb[i], t[i]), restarts, seed)
+        assert hexes([values[i], *us[i], *vs[i]]) == hexes([value, *u, *v])
+    # the forms of one stack stop at different sweeps
+    assert len(sweeps) > 3
+
+
+def test_stacked_descent_takes_no_mixed_or_empty_stack_wrongly():
+    rng = np.random.default_rng(4)
+    ra, rb, t = _descent_forms(rng, 4, True)
+    ra[2] = 0.0
+    with pytest.raises(ValueError, match="all have, or all lack, a local part"):
+        _block_positivity_stack(ra, rb, t, 8, [1, 2, 3, 4])
+    values, us, vs = _block_positivity_stack(ra[:0], rb[:0], t[:0], 8, [])
+    assert values.shape == (0,) and us.shape == vs.shape == (0, 3)
+
+
+def test_classify_state_lazy_fields_are_the_old_descent():
+    states = [family(k / 10) for family in (werner_state, tau_state) for k in range(11)]
+    states += [rho_max()] + [random_quantum_state(k) for k in range(10)]
+    for rho in states:
+        p = pauli_expand(rho)
+        (value, _, _), _ = _old_block_positivity(p.ra, p.rb, p.t, 64, 0)
+        cls = classify_state(rho)
+        assert cls.min_product_overlap.hex() == (value / 4.0).hex()
+        assert cls.is_block_positive == (value >= -1e-7)
+
+
+def _old_special_svd(x):
+    """special_svd as it was written before its stacked case."""
+    u, s, vt = np.linalg.svd(x)
+    u = u.copy()
+    v = vt.T.copy()
+    su = 1.0 if np.linalg.det(u) > 0 else -1.0
+    sv = 1.0 if np.linalg.det(v) > 0 else -1.0
+    u[:, 2] *= su
+    v[:, 2] *= sv
+    return u, np.array([s[0], s[1], s[2] * su * sv]), v
+
+
+def test_stacked_special_svd_is_the_single_call():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((600, 3, 3))
+    x[:50] = random_rotation(rng, "SO3_minus", 50)                  # reflections
+    x[50:100] = -np.abs(x[50:100])
+    x[100:150] = np.einsum("ni,nj->nij", x[100:150, 0], x[100:150, 1])  # rank 1
+    x[150:200, 2] = x[150:200, 0] - 2.0 * x[150:200, 1]                # rank 2
+    x[200:210] = 0.0
+    got = special_svd(x)
+    assert got.u.shape == got.v.shape == (600, 3, 3) and got.s.shape == (600, 3)
+    def factor_hexes(u, s, v):
+        return hexes(u) + hexes(s) + hexes(v)
+
+    for i, xi in enumerate(x):
+        single = special_svd(xi)
+        assert factor_hexes(got.u[i], got.s[i], got.v[i]) == factor_hexes(*single)
+        assert factor_hexes(*single) == factor_hexes(*_old_special_svd(xi))
+    assert (np.linalg.det(got.u) > 0).all() and (np.linalg.det(got.v) > 0).all()
+    with pytest.raises(ValueError, match="3x3 matrix or a"):
+        special_svd(np.ones((2, 3, 2)))
+
+
+def _public_copy(s):
+    return MeasurementSettings(np.array(s.a), np.array(s.b))
+
+
+def test_unchecked_settings_equal_the_public_constructor():
+    rng = np.random.default_rng(21)
+    draws = [random_settings(rng, m, rank) for m, rank in COMBOS for _ in range(30)]
+    draws += [s for s, _ in selfcheck._random_instances(rng, 300)]
+    for s in draws:
+        t = _public_copy(s)
+        for mine, theirs in ((s.a, t.a), (s.b, t.b)):
+            assert hexes(mine) == hexes(theirs) and mine.strides == theirs.strides
+            assert not mine.flags.writeable
+        assert (s.rank_a, s.rank_b, s.r) == (t.rank_a, t.rank_b, t.r)
+        assert hexes([s.pinv_a, s.pinv_b]) == hexes([t.pinv_a, t.pinv_b])
+        assert not s.pinv_a.flags.writeable
+        with pytest.raises(ValueError):
+            s.a[0, 0] = 2.0
+
+
+def test_every_drawn_row_passes_the_unit_row_check():
+    rng = np.random.default_rng(22)
+    rows = np.concatenate([s._stack.reshape(-1, 3) for s, _ in
+                           selfcheck._random_instances(rng, 20_000)])
+    assert len(rows) >= 2 * 2 * 20_000
+    assert np.all(np.abs(np.sqrt((rows * rows).sum(axis=1)) - 1.0) <= UNIT_ROW_TOL)
+
+
+def test_planar_settings_draw_both_rotations_at_once():
+    for seed in range(20):
+        alpha, beta = 0.3 + 0.1 * seed, 2.9 - 0.1 * seed
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        s = planar_settings(alpha, beta, rng)
+        a = np.array([[1.0, 0.0, 0.0], [np.cos(alpha), np.sin(alpha), 0.0]])
+        b = np.array([[1.0, 0.0, 0.0], [np.cos(beta), np.sin(beta), 0.0]])
+        a = a @ random_rotation(ref, "SO3").T
+        b = b @ random_rotation(ref, "SO3").T
+        assert hexes(s.a) == hexes(a) and hexes(s.b) == hexes(b)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert hexes(planar_settings(0.5, 0.7, 3).a) == hexes(
+        planar_settings(0.5, 0.7, np.random.default_rng(3)).a)
