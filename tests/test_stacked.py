@@ -4,10 +4,10 @@ The stacked support and gauge, the stacked separable-support oracle, the
 stacked samplers, the stacked containment scan, the stacked
 block-positivity descent and the stacked special SVD each promise that
 every entry equals its one-instance call, and settings built unchecked on
-drawn rows equal settings built by the public constructor. Values are compared by float.hex, so a
-moved last bit or a flipped zero sign fails. The first test pins the numpy
-premise all of them rest on: a stacked call of each kernel equals its
-per-matrix calls.
+drawn rows equal settings built by the public constructor. Values are
+compared by float.hex, so a moved last bit or a flipped zero sign fails.
+The first test pins the numpy premise all of them rest on: a stacked call
+of each kernel equals its per-matrix calls.
 """
 
 import warnings
@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrsets import oracles, selfcheck, twoqubit
+from corrsets import oracles, selfcheck
 from corrsets.detect import MAX_OVER_QM, QM_OVER_SEP, chsh_settings, pauli_settings
 from corrsets.geometry import (MAX, MODELS, QM, SEP, UNIT_ROW_TOL, MeasurementSettings,
                                _square_sum, _square_sums, extreme_point, gauge, gauge_stack,
