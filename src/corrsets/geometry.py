@@ -74,7 +74,7 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSettings:
     """Measurement directions of both parties, one unit row per setting.
 
@@ -103,13 +103,16 @@ class MeasurementSettings:
     the finiteness check of the input, since equal bytes passed it before.
     Only the last matrix of each kind is kept: the reuse is the three
     models, and the optimizer, called on one matrix.
+
+    Settings compare and hash by identity (eq=False), so they can be set
+    members and dict keys; two objects with equal rows are not equal.
     """
 
     a: np.ndarray
     b: np.ndarray
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _frame_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _core_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False)
+    _frame_slot: tuple | None = field(default=None, init=False, repr=False)
+    _core_slot: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

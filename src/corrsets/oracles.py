@@ -14,9 +14,12 @@ in one direction. The kernels the routes and checks need (the
 rotation-factored SVD, the Procrustes maximizer over rotation components,
 which reads its argmax off that SVD, the intrinsic determinant) and the
 random settings and state samplers live here as well. The rotation-factored
-SVD, the intrinsic determinant, the Gram-picture supports and the settings
-sampler's per-party kernel take one instance or a stack, so the battery
-evaluates these routes, and draws its settings, once per stack. The
+SVD, the Procrustes maximizer, the intrinsic determinant, the Gram-picture
+supports and the settings sampler's per-party kernel take one instance or a
+stack, so the battery evaluates these routes, and draws its settings, once
+per stack. The m = 2 closed forms are one stacked core, _m2_closed_forms,
+for both models' supports or gauges; support_m2_closed_form and
+gauge_m2_closed_form are its one-instance wrappers. The
 sampler normalizes the rows it draws, so the settings take them
 unchecked. np.einsum runs its path search (einsum_path) on every call,
 even when given a fixed path, so stacking is what amortizes it: once per
@@ -34,7 +37,6 @@ own, so the sampled supports are the production supports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +45,7 @@ import numpy as np
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
 from .geometry import (_NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _read_only,
-                       _square_sum)
+                       _square_sums)
 from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation
 from .twoqubit import qubit_state
 
@@ -126,15 +128,21 @@ def max_trace_over_rotations(x, component: str = "SO3"):
     special_svd, the argmax is u @ diag(1, 1, f) @ v.T and the value
     s1 + s2 + f * s3, for f = +1, -1 or sign(s3) respectively: the value
     is norm_plus(x), norm_minus(x) or trace_norm(x). Returns
-    ``(value, argmax)``; the argmax is an exact member of the component.
+    ``(value, argmax)``; the argmax is an exact member of the component. A
+    (k, 3, 3) stack gives (k,) values and (k, 3, 3) maximizers from one
+    special_svd call, each bit-equal to its single call.
     """
     u, s, v = special_svd(x)
+    if component not in ("SO3", "SO3_minus", "O3"):
+        raise ValueError(f"unknown component {component!r}")
     # copysign reads the sign of a zero s3 too, which special_svd sets to the
     # factors' orientation, so the O3 argmax is then the plain polar factor.
-    f = {"SO3": 1.0, "SO3_minus": -1.0, "O3": math.copysign(1.0, s[2])}.get(component)
-    if f is None:
-        raise ValueError(f"unknown component {component!r}")
-    return float(s[0] + s[1] + f * s[2]), u @ np.diag([1.0, 1.0, f]) @ v.T
+    f = {"SO3": 1.0, "SO3_minus": -1.0}.get(component, np.copysign(1.0, s[..., 2]))
+    d = np.zeros(u.shape)
+    d[..., 0, 0] = d[..., 1, 1] = 1.0
+    d[..., 2, 2] = f
+    value = s[..., 0] + s[..., 1] + f * s[..., 2]
+    return (float(value) if value.ndim == 0 else value), u @ d @ np.swapaxes(v, -1, -2)
 
 
 def _stack_operands(a, b, z):
@@ -263,34 +271,126 @@ def gram_equivalent_support(a, b, z) -> np.ndarray:
                      sv.sum(axis=-1)], axis=-1)
 
 
-def _cos_sin_m2(s: MeasurementSettings):
-    """Cosine and sine of each party's Gram angle, (ca, sa, cb, sb).
+def _cos_sin_m2(a, b):
+    """Cosine and sine of each party's Gram angle, (ca, sa, cb, sb), as (k,)
+    arrays for (k, 2, 3) row stacks a and b.
 
     The sine comes from the cross product, not from arccos of the dot
     product: for nearly collinear rows the latter only knows the sine to
     absolute epsilon through the cosine, which costs ~1e-10 of relative
     accuracy exactly where the closed forms divide by it.
     """
-    if s.m != 2:
+    if a.shape[-2] != 2:
         raise ValueError("closed forms in the Gram angles need m = 2")
-    return (float(s.a[0] @ s.a[1]), _cross_norm(s.a),
-            float(s.b[0] @ s.b[1]), _cross_norm(s.b))
+    rows = np.stack((a, b), axis=1)
+    cos, sin = _dots(rows[..., 0, :], rows[..., 1, :]), _cross_norm(rows)
+    return cos[:, 0], sin[:, 0], cos[:, 1], sin[:, 1]
 
 
-def _cross_norm(rows: np.ndarray) -> float:
-    """|rows[0] x rows[1]|, with the products and differences of np.cross."""
-    (x0, x1, x2), (y0, y1, y2) = rows.tolist()
-    return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                                          x0 * y1 - x1 * y0])))
+def _dots(x, y):
+    """x . y along the last axis: a stacked matmul dot, one ddot per entry as
+    in a 1-d x @ y or np.linalg.norm."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _gram_2x2(cos_theta: float) -> np.ndarray:
-    return np.array([[1.0, cos_theta], [cos_theta, 1.0]])
+def _cross_norm(rows):
+    """|rows[..., 0, :] x rows[..., 1, :]|, with the products and differences
+    of np.cross."""
+    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(rows, (-2, -1), (0, 1))
+    v = np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+    return np.sqrt(_dots(v, v))
 
 
-def _skew_2x2(cos_theta: float, sin_theta: float) -> np.ndarray:
-    e = complex(cos_theta, sin_theta)
-    return np.array([[e.conjugate(), 1.0], [1.0, e]], dtype=complex)
+def _phase(cos_theta, sin_theta):
+    """exp(i theta) with exactly the given real and imaginary parts."""
+    e = np.empty(np.shape(cos_theta), dtype=complex)
+    e.real, e.imag = cos_theta, sin_theta
+    return e
+
+
+def _gram_2x2(cos_theta):
+    """[[1, cos], [cos, 1]] for each entry of cos_theta."""
+    g = np.ones(np.shape(cos_theta) + (2, 2))
+    g[..., 0, 1] = g[..., 1, 0] = cos_theta
+    return g
+
+
+def _skew_2x2(cos_theta, sin_theta):
+    """[[conj(e), 1], [1, e]], e = exp(i theta), for each angle."""
+    e = _phase(cos_theta, sin_theta)
+    k = np.ones(e.shape + (2, 2), dtype=complex)
+    k[..., 0, 0], k[..., 1, 1] = e.conjugate(), e
+    return k
+
+
+def _modulus(w):
+    """|w| of complex entries as Python's abs(complex) gives it: np.hypot,
+    since np.abs of a complex array differs from it in the last bit."""
+    return np.hypot(w.real, w.imag)
+
+
+def _clip0(t):
+    """max(0.0, t) entrywise, a NaN included."""
+    return np.where(t > 0.0, t, 0.0)
+
+
+def _m2_closed_forms(kind: str, a, b, x) -> np.ndarray:
+    """The m = 2 closed forms of both models on a stack, columns (sep, qm).
+
+    a and b are (k, 2, 3) row stacks and x a (k, 2, 2) stack: coefficient
+    matrices Z for kind "support", correlation matrices C for kind "gauge".
+    support_m2_closed_form and gauge_m2_closed_form are its one-instance
+    wrappers. Every 2x2 product is a stacked matmul, one BLAS call per
+    matrix as for one instance, so each entry is the same on a stack of any
+    size, bit for bit.
+    """
+    ca, sa, cb, sb = _cos_sin_m2(a, b)
+    if kind == "gauge":
+        if np.any(sa * sb <= DEGENERATE_ANGLE_TOL):
+            raise ValueError("settings are too close to collinear for the closed form")
+        # The phase matrices are rank one, L_theta = u u^dag / sin^2(theta) with
+        # u = (1, -exp(-i theta)), so each quadratic trace collapses to the
+        # squared modulus of a single scalar. Evaluating those scalars first and
+        # dividing by the sines last keeps the cancellation at the scale of the
+        # entries of C instead of 1/sin^2, which is what makes nearly collinear
+        # settings come out to full precision.
+        ua, ub = (np.stack([np.ones_like(e), -e], axis=-1)
+                  for e in (_phase(ca, sa), _phase(cb, sb)))
+        left = ua[:, None, :] @ x
+        w_plus = _modulus((left @ ub[:, :, None])[:, 0, 0])
+        w_minus = _modulus((left @ ub.conjugate()[:, :, None])[:, 0, 0])
+        sines = sa * sb
+        return np.stack([np.where(w_minus > w_plus, w_minus, w_plus) / sines,
+                         0.5 * (w_plus + w_minus) / sines], axis=1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
+    # The squares below overflow or underflow far from unit scale. The support
+    # is positively homogeneous, so a Z whose square sum leaves the range is
+    # evaluated with its largest entry brought into [0.5, 1) and scaled back;
+    # both scalings are exact, and a support beyond the float range comes back
+    # as inf, as it does from support.
+    norm_sq = _square_sums(x)
+    far = ~((_NORM_SQ_RANGE[0] <= norm_sq) & (norm_sq <= _NORM_SQ_RANGE[1])) & x.any(axis=(1, 2))
+    e = np.where(far, np.frexp(np.abs(x).max(axis=(1, 2)))[1], 0)
+    z = np.ldexp(x, -e[:, None, None])
+    zt = np.swapaxes(z, 1, 2)
+    left = _gram_2x2(ca) @ z
+    quad = np.trace(left @ _gram_2x2(cb) @ zt, axis1=1, axis2=2)
+    cross = _modulus(np.trace(left @ _skew_2x2(cb, sb) @ zt, axis1=1, axis2=2))
+    det_term = 2.0 * np.abs(np.linalg.det(z)) * sa * sb
+    values = np.stack([np.sqrt(_clip0((quad + cross) / 2.0)),
+                       np.sqrt(_clip0(quad + det_term))], axis=1)
+    return np.ldexp(values, e[:, None])
+
+
+def _m2_closed_form(kind: str, model: str, s: MeasurementSettings, x, what: str) -> float:
+    """One instance of _m2_closed_forms, after the checks of its arguments."""
+    if model not in (SEP, QM):
+        raise ValueError("closed forms cover the sep and qm models only")
+    x = np.asarray(x, dtype=float)
+    if s.m == 2 and x.shape != (2, 2):
+        raise ValueError(f"{what} matrix must be 2x2, got {x.shape}")
+    return float(_m2_closed_forms(kind, s.a[None], s.b[None], x[None])[0, int(model == QM)])
 
 
 def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
@@ -300,29 +400,7 @@ def support_m2_closed_form(model: str, s: MeasurementSettings, z) -> float:
     reduces to scalar traces against the 2x2 Gram matrix of each party and,
     for the separable body, one complex phase matrix.
     """
-    if model not in (SEP, QM):
-        raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = _cos_sin_m2(s)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2, 2):
-        raise ValueError(f"coefficient matrix must be 2x2, got {z.shape}")
-    norm_sq = _square_sum(z)
-    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1] and z.any():
-        # The squares below overflow or underflow at this scale. The support
-        # is positively homogeneous, so evaluate it on Z with its largest
-        # entry brought into [0.5, 1) and scale back; both scalings are
-        # exact, and a support beyond the float range comes back as inf,
-        # as it does from support.
-        e = math.frexp(np.max(np.abs(z)))[1]
-        return float(np.ldexp(support_m2_closed_form(model, s, np.ldexp(z, -e)), e))
-    ga = _gram_2x2(ca)
-    gb = _gram_2x2(cb)
-    quad = float(np.trace(ga @ z @ gb @ z.T))
-    if model == SEP:
-        cross = abs(complex(np.trace(ga @ z @ _skew_2x2(cb, sb) @ z.T)))
-        return float(np.sqrt(max(0.0, (quad + cross) / 2.0)))
-    det_term = 2.0 * abs(float(np.linalg.det(z))) * sa * sb
-    return float(np.sqrt(max(0.0, quad + det_term)))
+    return _m2_closed_form("support", model, s, z, "coefficient")
 
 
 def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
@@ -332,27 +410,7 @@ def gauge_m2_closed_form(model: str, s: MeasurementSettings, c) -> float:
     settings the body flattens out and the general path with its range
     test is the right tool.
     """
-    if model not in (SEP, QM):
-        raise ValueError("closed forms cover the sep and qm models only")
-    ca, sa, cb, sb = _cos_sin_m2(s)
-    if sa * sb <= DEGENERATE_ANGLE_TOL:
-        raise ValueError("settings are too close to collinear for the closed form")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (2, 2):
-        raise ValueError(f"correlation matrix must be 2x2, got {c.shape}")
-    # The phase matrices are rank one, L_theta = u u^dag / sin^2(theta) with
-    # u = (1, -exp(-i theta)), so each quadratic trace collapses to the
-    # squared modulus of a single scalar. Evaluating those scalars first and
-    # dividing by the sines last keeps the cancellation at the scale of the
-    # entries of C instead of 1/sin^2, which is what makes nearly collinear
-    # settings come out to full precision.
-    ua = np.array([1.0, -complex(ca, sa)])
-    ub = np.array([1.0, -complex(cb, sb)])
-    w_plus = abs(complex(ua @ c @ ub))
-    w_minus = abs(complex(ua @ c @ ub.conjugate()))
-    if model == SEP:
-        return max(w_plus, w_minus) / (sa * sb)
-    return 0.5 * (w_plus + w_minus) / (sa * sb)
+    return _m2_closed_form("gauge", model, s, c, "correlation")
 
 
 def gauge_dual_oracle(model: str, s: MeasurementSettings, c,

@@ -9,13 +9,19 @@ independent route on stacks grouped by m, while the production functions
 they test run once per instance; the replay is the instance that offering
 each deviation in turn would have picked. The support-oracle check runs
 the separable oracle once per (m, rank) stack in the same way, the
-Bell-spectrum check takes one stacked special SVD of its frames, and the
+Bell-spectrum check takes one stacked special SVD of its frames, the
 rigidity check draws all its forms first and runs one stacked descent on
-the local forms and one on the bare forms. Every random settings size
-comes from _draw_size (m, then the rank). Every check that draws random
-settings of random sizes draws them through _random_instances, with an
-m x m Z or the 3x3 normals of a C after each, and the two gauge-duality
-checks share one draw-and-skip loop.
+the local forms and one on the bare forms, the m = 2 check runs the closed
+forms and the literal trace and Kronecker routes on stacks of its
+instances, and the asymmetric-norm check draws every iteration first and
+evaluates the norms, ratios, maximizers and hull mixtures on stacks. These
+last two replay their worst instance through the public closed forms,
+norms and maximizer, and fold the distance from the stacked values into
+their worst deviation. Every random settings size comes from _draw_size
+(m, then the rank). Every check that draws random settings of random
+sizes draws them through _random_instances, with an m x m Z or the 3x3
+normals of a C after each, and the two gauge-duality checks share one
+draw-and-skip loop.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.
@@ -113,6 +119,11 @@ def _nanmax(*devs):
         if math.isnan(dev):
             return dev
     return max(devs)
+
+
+def _replay_distance(public, stacked):
+    """Largest |public - stacked| over pairs of values, NaN if one is NaN."""
+    return _nanmax(0.0, *(abs(p - float(s)) for p, s in zip(public, stacked)))
 
 
 class _Worst:
@@ -287,20 +298,41 @@ def _check_dual_oracle(rng, sizes):
     return [worst.result("gauge-vs-dual-oracle", count, 1e-8)]
 
 
+def _sin_sq(theta):
+    """sin(theta)^2 of each angle as a float64 scalar's ** 2 gives it: C pow,
+    which np.float_power keeps and the square that an array's ** 2 takes
+    differs from in the last bit."""
+    return np.float_power(np.sin(theta), 2)
+
+
 def _ell_2x2(theta):
-    return np.array([[1.0, -np.exp(1j * theta)],
-                     [-np.exp(-1j * theta), 1.0]]) / np.sin(theta) ** 2
+    """The phase matrix of the literal quantum gauge route, one per angle."""
+    ell = np.ones(theta.shape + (2, 2), dtype=complex)
+    ell[:, 0, 1], ell[:, 1, 0] = -np.exp(1j * theta), -np.exp(-1j * theta)
+    return ell / _sin_sq(theta)[:, None, None]
 
 
 def _f_4x4(alpha, beta):
-    ca, cb = np.cos(alpha), np.cos(beta)
-    f = np.array([
-        [1.0, -ca, -cb, np.cos(alpha + beta)],
-        [-ca, 1.0, np.cos(alpha - beta), -cb],
-        [-cb, np.cos(alpha - beta), 1.0, -ca],
-        [np.cos(alpha + beta), -cb, -ca, 1.0],
-    ])
-    return f / (np.sin(alpha) ** 2 * np.sin(beta) ** 2)
+    """The Kronecker matrix of the quantum gauge's vec(C) route, one per pair."""
+    ca, cb, one = np.cos(alpha), np.cos(beta), np.ones_like(alpha)
+    cp, cm = np.cos(alpha + beta), np.cos(alpha - beta)
+    f = np.stack([one, -ca, -cb, cp, -ca, one, cm, -cb,
+                  -cb, cm, one, -ca, cp, -cb, -ca, one], axis=-1).reshape(-1, 4, 4)
+    return f / (_sin_sq(alpha) * _sin_sq(beta))[:, None, None]
+
+
+def _kron_2x2(x, y):
+    """np.kron of each pair of 2x2 matrices of two stacks."""
+    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def _quad_form(v, f):
+    """v^T f v for each (4,) row of v and (4, 4) matrix of f, as (v @ f) @ v."""
+    return (v[:, None, :] @ f @ v[:, :, None])[:, 0, 0]
+
+
+_M2_TAGS = ("support-sep", "support-qm", "gauge-sep", "gauge-qm", "support-sep-vec",
+            "gauge-sep-literal", "gauge-qm-literal", "gauge-qm-vec")
 
 
 def _check_m2_forms(rng, sizes):
@@ -314,12 +346,17 @@ def _check_m2_forms(rng, sizes):
     which factor the same expressions through rank-one phase vectors, are
     compared on every draw. Deviations are measured relative to the value,
     since the gauge forms blow up as the angles degenerate.
+
+    Each instance is drawn and takes its production supports and gauges in
+    turn; the closed forms and the literal routes then run on stacks, and
+    the deviations are offered in instance and route order. The worst
+    instance is replayed through the public closed forms, and their
+    distance from the stacked values is offered too.
     """
     n = sizes["m2"]
-    worst = _Worst()
+    draws = []
     for i in range(n):
-        near_degenerate = i % 8 == 7
-        if near_degenerate:
+        if i % 8 == 7:
             log_product = -6.0 if i % 16 == 15 else rng.uniform(-6.0, -2.5)
             sines = np.sqrt(10.0 ** log_product)
             alpha = np.arcsin(sines) if rng.integers(2) else np.pi - np.arcsin(sines)
@@ -330,54 +367,68 @@ def _check_m2_forms(rng, sizes):
         s = geometry.planar_settings(alpha, beta, rng)
         z = rng.standard_normal((2, 2))
         c = _finite_c(s, rng.standard_normal((3, 3)))
+        phi = [geometry.support(model, s, z) for model in (SEP, QM)]
+        g = [geometry.gauge(model, s, c) for model in (SEP, QM)]
+        draws.append((alpha, beta, s, z, c, *phi, *(x.value for x in g), *(x.finite for x in g)))
+    alpha, beta, settings, z, c, phi_sep, phi_qm, g_sep, g_qm, *finite = zip(*draws)
+    alpha, beta, z, c = map(np.array, (alpha, beta, z, c))
+    a, b = np.stack([s.a for s in settings]), np.stack([s.b for s in settings])
+    finite = np.array(finite).T
+    moderate = np.arange(n) % 8 != 7
+    valid = np.ones((n, len(_M2_TAGS)), dtype=bool)
+    valid[:, 2:4], valid[:, 5:] = finite, moderate[:, None]
+    general = np.stack([phi_sep, phi_qm, g_sep, g_qm, phi_sep, g_sep, g_qm, g_qm], axis=1)
 
-        checks = []
-        for model in (SEP, QM):
-            general = geometry.support(model, s, z)
-            closed = oracles.support_m2_closed_form(model, s, z)
-            checks.append((general, closed, "support-" + model))
-        g_sep = geometry.gauge(SEP, s, c)
-        if g_sep.finite:
-            checks.append((g_sep.value, oracles.gauge_m2_closed_form(SEP, s, c),
-                           "gauge-sep"))
-        g_qm = geometry.gauge(QM, s, c)
-        if g_qm.finite:
-            closed_qm = oracles.gauge_m2_closed_form(QM, s, c)
-            checks.append((g_qm.value, closed_qm, "gauge-qm"))
+    closed = np.full(general.shape, np.nan)
+    closed[:, :2] = oracles._m2_closed_forms("support", a, b, z)
+    some = finite.any(axis=1)
+    closed[some, 2:4] = oracles._m2_closed_forms("gauge", a[some], b[some], c[some])
+    # vec-form route for the support: quadratic forms in vec(Z) with the
+    # Kronecker matrices. Entries are O(1), fine at any angle.
+    ga, gb = oracles._gram_2x2(np.cos(alpha)), oracles._gram_2x2(np.cos(beta))
+    zv = np.swapaxes(z, 1, 2).reshape(n, 4)
+    kq = _quad_form(zv, _kron_2x2(gb, ga))
+    jq = _quad_form(zv, _kron_2x2(oracles._skew_2x2(np.cos(beta), np.sin(beta)), ga))
+    closed[:, 4] = np.sqrt((kq + oracles._modulus(jq)) / 2.0)
+    # explicit matrix routes for the gauges, at moderate angles
+    al, be, cm = alpha[moderate], beta[moderate], c[moderate]
+    ct = np.swapaxes(cm, 1, 2)
+    sep_trace = np.trace(np.linalg.inv(ga[moderate]) @ cm @ np.linalg.inv(gb[moderate]) @ ct,
+                         axis1=1, axis2=2)
+    closed[moderate, 5] = np.sqrt(oracles._clip0(
+        sep_trace + 2.0 * np.abs(np.linalg.det(cm)) / (np.sin(al) * np.sin(be))))
+    la = _ell_2x2(al)
+    t_plus, t_minus = (np.trace(la @ cm @ np.swapaxes(_ell_2x2(t), 1, 2) @ ct,
+                                axis1=1, axis2=2).real for t in (be, -be))
+    closed[moderate, 6] = 0.5 * (np.sqrt(oracles._clip0(t_plus))
+                                 + np.sqrt(oracles._clip0(t_minus)))
+    cv = ct.reshape(-1, 4)
+    fq, fq_m = (_quad_form(cv, _f_4x4(al, t)) for t in (be, -be))
+    # max(fq, 0.0), which keeps a NaN where max(0.0, t) drops it
+    closed[moderate, 7] = 0.5 * (np.sqrt(np.where(0.0 > fq, 0.0, fq))
+                                 + np.sqrt(np.where(0.0 > fq_m, 0.0, fq_m)))
 
-        # vec-form route for the support: quadratic forms in vec(Z) with the
-        # Kronecker matrices. Entries are O(1), fine at any angle.
-        ga, gb = oracles._gram_2x2(np.cos(alpha)), oracles._gram_2x2(np.cos(beta))
-        zv = z.T.ravel()
-        kq = float(zv @ np.kron(gb, ga) @ zv)
-        jq = complex(zv @ np.kron(oracles._skew_2x2(np.cos(beta), np.sin(beta)), ga) @ zv)
-        checks.append((geometry.support(SEP, s, z),
-                       np.sqrt((kq + abs(jq)) / 2.0), "support-sep-vec"))
+    offered = np.flatnonzero(valid)
+    scale = np.abs(general).ravel()[offered]
+    devs = np.abs(general - closed).ravel()[offered] / np.where(scale > 1.0, scale, 1.0)
 
-        if not near_degenerate:
-            # explicit matrix routes for the gauges
-            ga_inv = np.linalg.inv(ga)
-            gb_inv = np.linalg.inv(gb)
-            sep_trace = float(np.trace(ga_inv @ c @ gb_inv @ c.T))
-            sep_lit = np.sqrt(max(0.0, sep_trace
-                                  + 2.0 * abs(float(np.linalg.det(c)))
-                                  / (np.sin(alpha) * np.sin(beta))))
-            checks.append((g_sep.value, sep_lit, "gauge-sep-literal"))
-            la = _ell_2x2(alpha)
-            t_plus = complex(np.trace(la @ c @ _ell_2x2(beta).T @ c.T)).real
-            t_minus = complex(np.trace(la @ c @ _ell_2x2(-beta).T @ c.T)).real
-            ell_val = 0.5 * (np.sqrt(max(0.0, t_plus)) + np.sqrt(max(0.0, t_minus)))
-            checks.append((g_qm.value, ell_val, "gauge-qm-literal"))
-            cv = c.T.ravel()
-            fq = float(cv @ _f_4x4(alpha, beta) @ cv)
-            fq_m = float(cv @ _f_4x4(alpha, -beta) @ cv)
-            vec_val = 0.5 * (np.sqrt(max(fq, 0.0)) + np.sqrt(max(fq_m, 0.0)))
-            checks.append((g_qm.value, vec_val, "gauge-qm-vec"))
+    def instance(k, tag, **values):
+        return dict(tag=tag, alpha=alpha[k], beta=beta[k], a=a[k], b=b[k], z=z[k], c=c[k],
+                    **values)
 
-        for general, closed, tag in checks:
-            worst.offer(abs(general - closed) / max(1.0, abs(general)), tag=tag,
-                        alpha=alpha, beta=beta, a=s.a, b=s.b, z=z, c=c,
-                        general=general, closed=closed)
+    def replay(i):
+        k, col = divmod(int(offered[i]), len(_M2_TAGS))
+        return instance(k, _M2_TAGS[col], general=general[k, col], closed=closed[k, col])
+
+    worst = _Worst()
+    worst.offer_stack(devs, replay)
+    k = int(offered[np.argmax(devs)]) // len(_M2_TAGS)
+    s = settings[k]
+    public = [oracles.support_m2_closed_form(model, s, z[k]) for model in (SEP, QM)]
+    public += [oracles.gauge_m2_closed_form(model, s, c[k])
+               for model, ok in zip((SEP, QM), finite[k]) if ok]
+    worst.offer(_replay_distance(public, closed[k, :4][valid[k, :4]]),
+                **instance(k, "public-replay", public=public))
     return [worst.result("m2-closed-forms", n, _TOL_EXACT)]
 
 
@@ -433,6 +484,15 @@ def _check_kernel_identities(rng, sizes):
     ]
 
 
+def _signed_norms(x):
+    """norm_minus and norm_plus of each matrix of a (k, 3, 3) stack, and its
+    singular values, from one signed_svals call in the order of operations
+    of smallmat's kernels."""
+    sv, sign = signed_svals(x)
+    head = sv[:, 0] + sv[:, 1]
+    return head - sv[:, 2] * sign, head + sv[:, 2] * sign, sv
+
+
 def _check_asymmetric_norms(rng, sizes):
     """Chain and duality of the signed singular value combinations.
 
@@ -441,31 +501,44 @@ def _check_asymmetric_norms(rng, sizes):
     which, the mirror identity). Duality: sup Tr[X^T Y]/norm_minus(Y) =
     norm_plus(X), attained at the best rotation; and the hull of sampled
     rotations stays in the norm_minus unit ball.
+
+    Every iteration's draws come first, in order; the norms, the sampled
+    ratios, the maximizers and the hull mixtures then run on stacks. The
+    worst iteration of each result is replayed through the public norms
+    and maximizer, and their distance from the stacked values is folded
+    into that result.
     """
     n = max(20, sizes["identity"] // 20)
-    chain_dev = 0.0
-    dual_dev = 0.0
-    hull_dev = 0.0
-    for _ in range(n):
-        x = rng.standard_normal((3, 3))
-        lo, hi, tn = norm_minus(x), norm_plus(x), trace_norm(x)
-        op = op_norm(x)
-        chain_dev = _nanmax(chain_dev, op - lo, op - hi, lo - tn, hi - tn,
-                        abs(norm_plus(-x) - lo), abs(norm_minus(-x) - hi))
-        if float(np.linalg.det(x)) >= 0.0:
-            chain_dev = _nanmax(chain_dev, lo - hi)
+    x, ys, qs, w = map(np.array, zip(*[
+        (rng.standard_normal((3, 3)), rng.standard_normal((50, 3, 3)),
+         random_rotation(rng, "SO3", 5), rng.dirichlet(np.ones(5))) for _ in range(n)]))
+    (lo, hi, sv), (lo_neg, hi_neg, _) = _signed_norms(x), _signed_norms(-x)
+    op, tn = sv[:, 0], sv[:, 0] + sv[:, 1] + sv[:, 2]
+    chain = np.stack([op - lo, op - hi, lo - tn, hi - tn, np.abs(hi_neg - lo),
+                      np.abs(lo_neg - hi),
+                      np.where(np.linalg.det(x) >= 0.0, lo - hi, -np.inf)], axis=1)
 
-        ys = rng.standard_normal((50, 3, 3))
-        numer = np.einsum("ij,kij->k", x, ys)
-        sv, sign = signed_svals(ys)
-        sampled = float((numer / (sv[:, 0] + sv[:, 1] - sv[:, 2] * sign)).max())
-        _, q = max_trace_over_rotations(x, "SO3")
-        attained = float(np.sum(x * q)) / norm_minus(q)
-        dual_dev = _nanmax(dual_dev, sampled - hi, abs(attained - hi))
+    numer = np.einsum("nij,nkij->nk", x, ys)
+    sampled = (numer / _signed_norms(ys.reshape(-1, 3, 3))[0].reshape(n, 50)).max(axis=1)
+    _, q = max_trace_over_rotations(x, "SO3")
+    attained = (x * q).reshape(n, 9).sum(axis=1) / _signed_norms(q)[0]
+    dual = np.stack([sampled - hi, np.abs(attained - hi)], axis=1)
 
-        qs = np.stack([random_rotation(rng, "SO3") for _ in range(5)])
-        mix = np.tensordot(rng.dirichlet(np.ones(5)), qs, axes=1)
-        hull_dev = _nanmax(hull_dev, norm_minus(mix) - 1.0)
+    mix = (w[:, None, :] @ qs.reshape(n, 5, 9)).reshape(n, 3, 3)
+    hull = _signed_norms(mix)[0] - 1.0
+
+    i = int(np.argmax(chain.max(axis=1)))
+    chain_dev = _nanmax(0.0, *chain.ravel().tolist(), _replay_distance(
+        [norm_minus(x[i]), norm_plus(x[i]), trace_norm(x[i]), op_norm(x[i]),
+         norm_plus(-x[i]), norm_minus(-x[i])],
+        [lo[i], hi[i], tn[i], op[i], hi_neg[i], lo_neg[i]]))
+    i = int(np.argmax(dual.max(axis=1)))
+    _, q_i = max_trace_over_rotations(x[i], "SO3")
+    dual_dev = _nanmax(0.0, *dual.ravel().tolist(), _replay_distance(
+        [float(np.sum(x[i] * q_i)) / norm_minus(q_i)], [attained[i]]))
+    i = int(np.argmax(hull))
+    hull_dev = _nanmax(0.0, *hull.tolist(),
+                       _replay_distance([norm_minus(mix[i]) - 1.0], [hull[i]]))
 
     return [
         _result("asymmetric-norm-chain", n, chain_dev, _TOL_EXACT),

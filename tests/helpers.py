@@ -1,4 +1,6 @@
-"""Shared draw helpers and constructors for the test suite."""
+"""Shared draw helpers, constructors and scalar references for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -57,3 +59,55 @@ def construct_target_Z(s, target, det_sign_req=0):
 
     frame = va @ np.diag(d) @ vb.T
     return s.pinv_a.T @ frame @ s.pinv_b
+
+
+# The m = 2 closed forms in the Gram angles as they were written before their
+# stacked core, one instance at a time: the reference the stacked routes and
+# the battery's per-instance loop are pinned against.
+def scalar_cos_sin_m2(s):
+    def cross_norm(rows):
+        (x0, x1, x2), (y0, y1, y2) = rows.tolist()
+        return float(np.linalg.norm(np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
+                                              x0 * y1 - x1 * y0])))
+
+    return (float(s.a[0] @ s.a[1]), cross_norm(s.a), float(s.b[0] @ s.b[1]),
+            cross_norm(s.b))
+
+
+def scalar_gram_2x2(cos_theta):
+    return np.array([[1.0, cos_theta], [cos_theta, 1.0]])
+
+
+def scalar_skew_2x2(cos_theta, sin_theta):
+    e = complex(cos_theta, sin_theta)
+    return np.array([[e.conjugate(), 1.0], [1.0, e]], dtype=complex)
+
+
+def scalar_support_m2(model, s, z):
+    ca, sa, cb, sb = scalar_cos_sin_m2(s)
+    z = np.asarray(z, dtype=float)
+    norm_sq = float(np.vdot(z, z))
+    if not 1e-200 <= norm_sq <= 1e200 and z.any():
+        e = math.frexp(np.max(np.abs(z)))[1]
+        return float(np.ldexp(scalar_support_m2(model, s, np.ldexp(z, -e)), e))
+    ga, gb = scalar_gram_2x2(ca), scalar_gram_2x2(cb)
+    quad = float(np.trace(ga @ z @ gb @ z.T))
+    if model == "sep":
+        cross = abs(complex(np.trace(ga @ z @ scalar_skew_2x2(cb, sb) @ z.T)))
+        return float(np.sqrt(max(0.0, (quad + cross) / 2.0)))
+    det_term = 2.0 * abs(float(np.linalg.det(z))) * sa * sb
+    return float(np.sqrt(max(0.0, quad + det_term)))
+
+
+def scalar_gauge_m2(model, s, c):
+    ca, sa, cb, sb = scalar_cos_sin_m2(s)
+    if sa * sb <= 1e-9:
+        raise ValueError("settings are too close to collinear for the closed form")
+    c = np.asarray(c, dtype=float)
+    ua = np.array([1.0, -complex(ca, sa)])
+    ub = np.array([1.0, -complex(cb, sb)])
+    w_plus = abs(complex(ua @ c @ ub))
+    w_minus = abs(complex(ua @ c @ ub.conjugate()))
+    if model == "sep":
+        return max(w_plus, w_minus) / (sa * sb)
+    return 0.5 * (w_plus + w_minus) / (sa * sb)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_settings_are_immutable():
             cached[0, 0] = 0.0
     rows[0, 0] = 0.5
     assert s.a[0, 0] == 1.0 and s.r == 3
+
+
+def test_settings_compare_and_hash_by_identity():
+    s, t = pauli_settings(), pauli_settings()
+    assert s._stack.tobytes() == t._stack.tobytes()
+    assert (s == t) is False and (s != t) is True  # no elementwise array compare
+    assert s == s and not s != s
+    assert hash(s) == hash(s)
+    assert len({s, t, s}) == 2
+    assert {s: "s", t: "t"}[t] == "t"
+    ref = weakref.ref(s)  # what the benchmark's tracer keeps per settings object
+    assert ref() is s
 
 
 def test_gram_angles():
@@ -441,12 +454,16 @@ def test_gram_angles_match_the_cross_product_route():
     cases = [planar_settings(alpha, beta, rng) for alpha, beta in
              ((0.8, 1.1), (1e-7, np.pi - 1e-7), (np.pi / 2, 0.3))]
     cases += [random_settings(rng, 2, rank) for rank in (1, 2) for _ in range(30)]
-    for s in cases:
+    # one instance at a time and all cases as one stack
+    stacked = _cos_sin_m2(np.stack([s.a for s in cases]), np.stack([s.b for s in cases]))
+    for i, s in enumerate(cases):
         expected = (float(s.a[0] @ s.a[1]), float(np.linalg.norm(np.cross(s.a[0], s.a[1]))),
                     float(s.b[0] @ s.b[1]), float(np.linalg.norm(np.cross(s.b[0], s.b[1]))))
-        assert _cos_sin_m2(s) == expected
+        assert tuple(float(v[0]) for v in _cos_sin_m2(s.a[None], s.b[None])) == expected
+        assert tuple(float(v[i]) for v in stacked) == expected
+    s = pauli_settings()
     with pytest.raises(ValueError, match="m = 2"):
-        _cos_sin_m2(pauli_settings())
+        _cos_sin_m2(s.a[None], s.b[None])
 
 
 def test_rho_max_sits_at_three():

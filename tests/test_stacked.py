@@ -2,14 +2,17 @@
 
 The stacked support and gauge, the stacked separable-support oracle, the
 stacked samplers, the stacked containment scan, the stacked
-block-positivity descent and the stacked special SVD each promise that
-every entry equals its one-instance call, and settings built unchecked on
-drawn rows equal settings built by the public constructor. Values are
-compared by float.hex, so a moved last bit or a flipped zero sign fails.
-The first test pins the numpy premise all of them rest on: a stacked call
-of each kernel equals its per-matrix calls.
+block-positivity descent, the stacked special SVD and rotation maximizer,
+the stacked m = 2 closed forms and the stacked quantities of the
+asymmetric-norm check each promise that every entry equals its
+one-instance call, and settings built unchecked on drawn rows equal
+settings built by the public constructor. Values are compared by
+float.hex, so a moved last bit or a flipped zero sign fails. The first
+test pins the numpy premise all of them rest on: a stacked call of each
+kernel equals its per-matrix calls.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -20,13 +23,18 @@ from corrsets.detect import MAX_OVER_QM, QM_OVER_SEP, chsh_settings, pauli_setti
 from corrsets.geometry import (MAX, MODELS, QM, SEP, UNIT_ROW_TOL, MeasurementSettings,
                                _square_sum, _square_sums, extreme_point, gauge, gauge_stack,
                                planar_settings, support, support_stack)
-from corrsets.oracles import (OracleConfig, _sep_oracle_stack, random_product_state,
+from corrsets.oracles import (OracleConfig, _sep_oracle_stack, gauge_m2_closed_form,
+                              max_trace_over_rotations, random_product_state,
                               random_quantum_state, random_separable_state, random_settings,
-                              ratio_scan, special_svd, support_sep_oracle)
-from corrsets.smallmat import random_rotation
+                              ratio_scan, special_svd, support_m2_closed_form,
+                              support_sep_oracle)
+from corrsets.smallmat import (norm_minus, norm_plus, op_norm, random_rotation, signed_svals,
+                               trace_norm)
 from corrsets.twoqubit import (PAULI, PauliForm, _block_positivity_stack,
                                block_positivity_minimum, classify_state, pauli_expand,
                                qubit_state, rho_max, tau_state, werner_state)
+
+from helpers import scalar_gauge_m2, scalar_support_m2
 
 COMBOS = [(m, rank) for m in (1, 2, 3, 4, 5) for rank in (1, 2, 3) if rank <= m]
 
@@ -497,3 +505,128 @@ def test_planar_settings_draw_both_rotations_at_once():
         assert rng.bit_generator.state == ref.bit_generator.state
     assert hexes(planar_settings(0.5, 0.7, 3).a) == hexes(
         planar_settings(0.5, 0.7, np.random.default_rng(3)).a)
+
+
+def _m2_cases(rng):
+    """Planar settings at moderate angles, then near-degenerate pairs with
+    sin(alpha) sin(beta) from 1e-3 down to 1e-6 and either angle on either
+    side of pi/2."""
+    angles = [tuple(rng.uniform(0.05, np.pi - 0.05, 2)) for _ in range(60)]
+    for product in (1e-3, 1e-4, 1e-5, 1e-6):
+        low = np.arcsin(np.sqrt(product))
+        angles += [(alpha, beta) for alpha in (low, np.pi - low) for beta in (low, np.pi - low)]
+    return [planar_settings(alpha, beta, rng) for alpha, beta in angles]
+
+
+def _rows(settings):
+    return np.stack([s.a for s in settings]), np.stack([s.b for s in settings])
+
+
+def test_stacked_m2_closed_forms_are_the_scalar_forms():
+    rng = np.random.default_rng(30)
+    settings = _m2_cases(rng)
+    k = len(settings)
+    zs = rng.standard_normal((k, 2, 2))
+    zs[::4] = np.ldexp(zs[::4], 600)
+    zs[1::4] = np.ldexp(zs[1::4], -600)
+    zs[2] = 0.0
+    cs = np.stack([s.a @ g @ s.b.T for s, g in zip(settings, rng.standard_normal((k, 3, 3)))])
+    cs[::3] = rng.standard_normal((len(cs[::3]), 2, 2))  # the gauge form takes any C
+    a, b = _rows(settings)
+    supports = oracles._m2_closed_forms("support", a, b, zs)
+    gauges = oracles._m2_closed_forms("gauge", a, b, cs)
+    assert supports.shape == gauges.shape == (k, 2)
+    for i, s in enumerate(settings):
+        for col, model in enumerate((SEP, QM)):
+            want = scalar_support_m2(model, s, zs[i])
+            assert hexes([supports[i, col], support_m2_closed_form(model, s, zs[i])]) == hexes(
+                [want, want])
+            want = scalar_gauge_m2(model, s, cs[i])
+            assert hexes([gauges[i, col], gauge_m2_closed_form(model, s, cs[i])]) == hexes(
+                [want, want])
+    # the cases reach the smallest sine product the battery draws
+    _, sa, _, sb = oracles._cos_sin_m2(a, b)
+    assert (sa * sb).min() == pytest.approx(1e-6, rel=1e-6)
+    assert np.isinf(supports[::4]).sum() == 0 and supports[2].tolist() == [0.0, 0.0]
+
+
+def test_stacked_m2_gauge_rejects_a_degenerate_pair():
+    rng = np.random.default_rng(31)
+    settings = _m2_cases(rng)[:5] + [planar_settings(1e-5, np.pi - 1e-5, rng)]
+    a, b = _rows(settings)
+    cs = rng.standard_normal((len(settings), 2, 2))
+    with pytest.raises(ValueError, match="collinear"):
+        oracles._m2_closed_forms("gauge", a, b, cs)
+    with pytest.raises(ValueError, match="collinear"):
+        gauge_m2_closed_form(SEP, settings[-1], cs[-1])
+    with pytest.raises(ValueError, match="collinear"):
+        scalar_gauge_m2(SEP, settings[-1], cs[-1])
+    # the support needs no sine bound
+    supports = oracles._m2_closed_forms("support", a, b, cs)
+    assert hexes(supports[-1]) == hexes([scalar_support_m2(model, settings[-1], cs[-1])
+                                         for model in (SEP, QM)])
+    cs[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        oracles._m2_closed_forms("support", a, b, cs)
+
+
+def _norm_cases(rng):
+    """3x3 matrices: Gaussian, rotations, reflections, rank 1, rank 2 (inside
+    the determinant dead zone or just outside it) and zero."""
+    x = rng.standard_normal((400, 3, 3))
+    x[:40] = random_rotation(rng, "SO3_minus", 40)
+    x[40:60] = random_rotation(rng, "SO3", 20)
+    x[60:100] = np.einsum("ni,nj->nij", x[60:100, 0], x[60:100, 1])
+    x[100:160, 2] = x[100:160, 0] - 2.0 * x[100:160, 1]
+    x[160:180] = x[100:120] + 1e-9 * rng.standard_normal((20, 3, 3))
+    x[180:190] = 0.0
+    x[190:200] *= -1.0
+    return x
+
+
+def test_stacked_signed_norms_are_the_scalar_kernels():
+    x = _norm_cases(np.random.default_rng(32))
+    lo, hi, sv = selfcheck._signed_norms(x)
+    for i, xi in enumerate(x):
+        assert hexes([lo[i], hi[i], sv[i, 0], sv[i, 0] + sv[i, 1] + sv[i, 2]]) == hexes(
+            [norm_minus(xi), norm_plus(xi), op_norm(xi), trace_norm(xi)])
+    # the dead zone fired, and matrices just outside it kept their sign
+    sign = signed_svals(x)[1]
+    assert (sign[60:160] == 0.0).all() and (sign[160:180] != 0.0).all()
+
+
+def _old_max_trace(x, component):
+    """max_trace_over_rotations as it was written before its stacked case."""
+    u, s, v = special_svd(x)
+    f = {"SO3": 1.0, "SO3_minus": -1.0, "O3": math.copysign(1.0, s[2])}[component]
+    return float(s[0] + s[1] + f * s[2]), u @ np.diag([1.0, 1.0, f]) @ v.T
+
+
+@pytest.mark.parametrize("component", ["SO3", "SO3_minus", "O3"])
+def test_stacked_rotation_maximizer_is_the_single_call(component):
+    x = _norm_cases(np.random.default_rng(33))
+    values, qs = max_trace_over_rotations(x, component)
+    assert values.shape == (len(x),) and qs.shape == x.shape
+    for i, xi in enumerate(x):
+        value, q = max_trace_over_rotations(xi, component)
+        assert isinstance(value, float)
+        assert hexes([values[i], *qs[i].ravel()]) == hexes([value, *q.ravel()])
+        value, q = _old_max_trace(xi, component)
+        assert hexes([values[i], *qs[i].ravel()]) == hexes([value, *q.ravel()])
+
+
+def test_stacked_duality_sums_and_hull_mixtures_are_the_per_iteration_forms():
+    # the sampled numerators, the attained traces and the Dirichlet mixtures
+    # of the asymmetric-norm check, stacked over iterations
+    rng = np.random.default_rng(34)
+    n = 300
+    x, ys = rng.standard_normal((n, 3, 3)), rng.standard_normal((n, 50, 3, 3))
+    q = max_trace_over_rotations(x, "SO3")[1]
+    qs, w = random_rotation(rng, "SO3", 5 * n).reshape(n, 5, 3, 3), rng.dirichlet(np.ones(5), n)
+    numer = np.einsum("nij,nkij->nk", x, ys)
+    traces = (x * q).reshape(n, 9).sum(axis=1)
+    mix = (w[:, None, :] @ qs.reshape(n, 5, 9)).reshape(n, 3, 3)
+    for i in range(n):
+        assert hexes(numer[i]) == hexes(np.einsum("ij,kij->k", x[i], ys[i]))
+        assert hexes(traces[i]) == hexes(np.sum(x[i] * q[i]))
+        assert hexes(mix[i]) == hexes(np.tensordot(w[i], qs[i], axes=1))
