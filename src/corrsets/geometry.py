@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import twoqubit
-from .smallmat import RANK_TOL, _det_sign, pinv, random_rotation, svdvals
+from .smallmat import RANK_TOL, _det_sign, _signed, _trace, pinv, random_rotation, svdvals
 
 SEP = "sep"
 QM = "qm"
@@ -299,19 +299,6 @@ class _Spectrum:
         if self._sign is None:
             self._sign = float(_det_sign(self.matrix, self.svals))
         return self._sign
-
-
-# smallmat's norm kernels on a record's float values, bit for bit: _op_norm
-# is s1, and these two keep the kernels' order of operations. Builtin sum is
-# not used, since from Python 3.12 it adds floats with compensation.
-def _trace(values) -> float:
-    s1, s2, s3 = values
-    return s1 + s2 + s3
-
-
-def _signed(values, sign: float, flip: float) -> float:
-    s1, s2, s3 = values
-    return s1 + s2 + s3 * (flip * sign)
 
 
 def _frame_record(s: MeasurementSettings, z) -> _Spectrum:

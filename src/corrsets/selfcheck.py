@@ -39,8 +39,8 @@ from . import detect, geometry, oracles, twoqubit
 from ._version import __version__
 from .geometry import MAX, QM, SEP, MeasurementSettings
 from .oracles import OracleConfig, det3_intrinsic, max_trace_over_rotations, special_svd
-from .smallmat import (norm_minus, norm_plus, op_norm, pinv, random_rotation, signed_svals,
-                       trace_norm)
+from .smallmat import (_signed, norm_minus, norm_plus, op_norm, pinv, random_rotation,
+                       signed_svals, trace_norm)
 
 LEVELS = ("quick", "full")
 
@@ -486,11 +486,9 @@ def _check_kernel_identities(rng, sizes):
 
 def _signed_norms(x):
     """norm_minus and norm_plus of each matrix of a (k, 3, 3) stack, and its
-    singular values, from one signed_svals call in the order of operations
-    of smallmat's kernels."""
+    singular values, from one signed_svals call."""
     sv, sign = signed_svals(x)
-    head = sv[:, 0] + sv[:, 1]
-    return head - sv[:, 2] * sign, head + sv[:, 2] * sign, sv
+    return _signed(sv.T, sign, -1.0), _signed(sv.T, sign, 1.0), sv
 
 
 def _check_asymmetric_norms(rng, sizes):

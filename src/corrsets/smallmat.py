@@ -10,8 +10,10 @@ signed-singular-value routine, signed_svals, which takes a 3x3 matrix or a
 (0 where s3 <= 8 eps s1); and one Haar sampler, random_rotation, which
 with a size draws a (size, 3, 3) stack bit-equal to that many single
 draws. Kernels that only the verification battery uses live in oracles.
-Each norm is one private kernel on singular values already taken, which
-geometry calls directly; svdvals and pinv also take (k, p, q) stacks.
+Each norm is one private formula on singular values already taken (the
+signed norms and the trace of a 3x3 spectrum are _signed and _trace), which
+geometry, the checked wrappers and the battery share; svdvals and pinv also
+take (k, p, q) stacks.
 
 All functions are pure: no caller-visible state, no hidden RNG. Random
 sampling takes an explicit seed or Generator.
@@ -136,9 +138,19 @@ def _det_sign(x, s):
     return dead_zone_sign(sign, s)
 
 
-def _signed_norm(s, sign, flip: float) -> float:
+# The norms of a spectrum s1 >= s2 >= s3, given as three floats or as three
+# arrays of a stack, in the one order of operations every caller shares.
+# Builtin sum is not used, since from Python 3.12 it adds floats with
+# compensation.
+def _trace(values):
+    s1, s2, s3 = values
+    return s1 + s2 + s3
+
+
+def _signed(values, sign, flip: float):
     """s1 + s2 + flip * s3 * sign: norm_plus for flip = 1, norm_minus for -1."""
-    return float(s[0] + s[1] + s[2] * (flip * sign))
+    s1, s2, s3 = values
+    return s1 + s2 + s3 * (flip * sign)
 
 
 def signed_svals(x):
@@ -159,12 +171,12 @@ def signed_svals(x):
 
 def norm_plus(x) -> float:
     """s1 + s2 + s3 * sgn(det x) for a 3x3 matrix."""
-    return _signed_norm(*_signed_svals(_as_finite_3x3(x)), 1.0)
+    return float(_signed(*_signed_svals(_as_finite_3x3(x)), 1.0))
 
 
 def norm_minus(x) -> float:
     """s1 + s2 - s3 * sgn(det x) for a 3x3 matrix."""
-    return _signed_norm(*_signed_svals(_as_finite_3x3(x)), -1.0)
+    return float(_signed(*_signed_svals(_as_finite_3x3(x)), -1.0))
 
 
 def random_rotation(rng, component: str = "SO3", size: int | None = None) -> np.ndarray:
