@@ -233,13 +233,19 @@ def planar_settings(alpha: float, beta: float, rng=None) -> MeasurementSettings:
     a1.a2 = cos(alpha) and b1.b2 = cos(beta). With an rng the two planes get
     independent random orientations in space; the angles are what matter.
     """
-    a = np.array([[1.0, 0.0, 0.0], [np.cos(alpha), np.sin(alpha), 0.0]])
-    b = np.array([[1.0, 0.0, 0.0], [np.cos(beta), np.sin(beta), 0.0]])
-    if rng is not None:
-        rot_a, rot_b = random_rotation(rng, "SO3", 2)  # two single draws, bit for bit
-        a = a @ rot_a.T
-        b = b @ rot_b.T
-    return MeasurementSettings(a, b)
+    rotations = np.eye(3) if rng is None else random_rotation(rng, "SO3", 2)
+    return MeasurementSettings(*_planar_rows(alpha, beta, rotations))
+
+
+def _planar_rows(alpha, beta, rotations) -> np.ndarray:
+    """Rows (1, 0, 0) and (cos, sin, 0) of each party at its Gram angle,
+    turned by its rotation: angles of shape (...) and rotations of shape
+    (..., 2, 3, 3), or one 3x3 for both, give a (..., 2, 2, 3) stack."""
+    angles = np.stack([alpha, beta], axis=-1)
+    rows = np.zeros(angles.shape + (2, 3))
+    rows[..., 0, 0] = 1.0
+    rows[..., 1, 0], rows[..., 1, 1] = np.cos(angles), np.sin(angles)
+    return rows @ np.swapaxes(rotations, -1, -2)
 
 
 def _square_sum(x: np.ndarray, error: str = "input has non-finite entries") -> float:

@@ -13,23 +13,20 @@ optimization-based routes are monotone lower bounds, so they can only fail
 in one direction. The kernels the routes and checks need (the
 rotation-factored SVD, the Procrustes maximizer over rotation components,
 which reads its argmax off that SVD, the intrinsic determinant) and the
-random settings and state samplers live here as well. The rotation-factored
-SVD, the Procrustes maximizer, the intrinsic determinant, the Gram-picture
-supports and the settings sampler's per-party kernel take one instance or a
-stack, so the battery evaluates these routes, and draws its settings, once
-per stack. The m = 2 closed forms are one stacked core, _m2_closed_forms,
-for both models' supports or gauges; support_m2_closed_form and
-gauge_m2_closed_form are its one-instance wrappers. The
-sampler normalizes the rows it draws, so the settings take them
-unchecked. np.einsum runs its path search (einsum_path) on every call,
-even when given a fixed path, so stacking is what amortizes it: once per
-call over the whole stack.
+random settings and state samplers live here as well. The kernels, the
+Gram-picture supports and the settings sampler's per-party step take one
+instance or a stack, so the battery runs them once per stack. The m = 2
+closed forms are one stacked core, _m2_closed_forms, for both models'
+supports or gauges; support_m2_closed_form and gauge_m2_closed_form are
+its one-instance wrappers. The settings sampler redraws only a rejected
+party and builds the settings on the rows it has normalized, unchecked.
+np.einsum runs its path search (einsum_path) on every call, even when
+given a fixed path, so stacking is what amortizes it.
 
-The sampled routes run on stacks too, each entry bit-equal to its
-one-instance form: the dual oracle scores its sampled Z with
-geometry.support_stack, the containment scan scores a stack of Haar
-rotations with geometry.gauge_stack, the separable-state sampler draws
-its product terms as one block, and the alternating sweeps of the
+The sampled routes run on stacks too: the dual oracle scores its sampled
+Z with geometry.support_stack, the containment scan scores a stack of
+Haar rotations with geometry.gauge_stack, the separable-state sampler
+draws its product terms as one block, and the alternating sweeps of the
 separable-support oracle run over a stack of frames with a per-frame
 convergence mask (_sep_oracle_stack). No route here forms a frame of its
 own, so the sampled supports are the production supports.
@@ -323,12 +320,6 @@ def _skew_2x2(cos_theta, sin_theta):
     return k
 
 
-def _modulus(w):
-    """|w| of complex entries as Python's abs(complex) gives it: np.hypot,
-    since np.abs of a complex array differs from it in the last bit."""
-    return np.hypot(w.real, w.imag)
-
-
 def _clip0(t):
     """max(0.0, t) entrywise, a NaN included."""
     return np.where(t > 0.0, t, 0.0)
@@ -357,8 +348,8 @@ def _m2_closed_forms(kind: str, a, b, x) -> np.ndarray:
         ua, ub = (np.stack([np.ones_like(e), -e], axis=-1)
                   for e in (_phase(ca, sa), _phase(cb, sb)))
         left = ua[:, None, :] @ x
-        w_plus = _modulus((left @ ub[:, :, None])[:, 0, 0])
-        w_minus = _modulus((left @ ub.conjugate()[:, :, None])[:, 0, 0])
+        w_plus = np.abs((left @ ub[:, :, None])[:, 0, 0])
+        w_minus = np.abs((left @ ub.conjugate()[:, :, None])[:, 0, 0])
         sines = sa * sb
         return np.stack([np.where(w_minus > w_plus, w_minus, w_plus) / sines,
                          0.5 * (w_plus + w_minus) / sines], axis=1)
@@ -376,7 +367,7 @@ def _m2_closed_forms(kind: str, a, b, x) -> np.ndarray:
     zt = np.swapaxes(z, 1, 2)
     left = _gram_2x2(ca) @ z
     quad = np.trace(left @ _gram_2x2(cb) @ zt, axis1=1, axis2=2)
-    cross = _modulus(np.trace(left @ _skew_2x2(cb, sb) @ zt, axis1=1, axis2=2))
+    cross = np.abs(np.trace(left @ _skew_2x2(cb, sb) @ zt, axis1=1, axis2=2))
     det_term = 2.0 * np.abs(np.linalg.det(z)) * sa * sb
     values = np.stack([np.sqrt(_clip0((quad + cross) / 2.0)),
                        np.sqrt(_clip0(quad + det_term))], axis=1)
@@ -535,32 +526,32 @@ def _party_rows(g, m: int, rank: int):
     return rows, ok
 
 
+def _unit_rows(rng, g, m: int, rank: int) -> np.ndarray:
+    """Both parties' unit rows from a (..., 2, 9 + m * rank) block of first
+    tries, as a read-only (..., 2, m, 3) stack. The parties that
+    _party_rows rejects, and only those, draw again from one fresh normal
+    block, in the block's order, until every party passes."""
+    rows, ok = _party_rows(g, m, rank)
+    while not ok.all():
+        bad = ~ok
+        rows[bad], ok[bad] = _party_rows(
+            rng.standard_normal((np.count_nonzero(bad), g.shape[-1])), m, rank)
+    return _read_only(rows)
+
+
 def random_settings(rng, m: int, rank: int) -> MeasurementSettings:
     """Random unit-row settings with both parties at the given rank.
 
     Rows are unit vectors drawn inside a shared rank-dimensional subspace,
     one independent subspace per party. Both parties' first tries are one
-    normal block and one stacked _party_rows call, bit-equal to drawing
-    them one after the other, and the settings take those rows unchecked.
+    (2, 9 + m * rank) normal block; a rejected party alone draws again
+    (_unit_rows), and the settings take the rows unchecked.
     """
     if not 1 <= rank <= min(3, m):
         raise ValueError(f"rank must be between 1 and min(3, m)={min(3, m)}, got {rank}")
     rng = np.random.default_rng(rng)
-    state = rng.bit_generator.state
-    rows, ok = _party_rows(rng.standard_normal((2, 9 + m * rank)), m, rank)
-    if ok.all():
-        return MeasurementSettings._from_unit_rows(_read_only(rows))
-    # A party draws again, and its next try comes before the other party's
-    # first one: rewind and draw one try at a time.
-    rng.bit_generator.state = state
-
-    def one_party():
-        while True:
-            rows, ok = _party_rows(rng.standard_normal(9 + m * rank), m, rank)
-            if ok:
-                return rows
-
-    return MeasurementSettings(one_party(), one_party())
+    g = rng.standard_normal((2, 9 + m * rank))
+    return MeasurementSettings._from_unit_rows(_unit_rows(rng, g, m, rank))
 
 
 def random_product_state(rng, size: int | None = None) -> np.ndarray:

@@ -3,25 +3,15 @@
 Each check draws fresh random instances, compares two ways of computing the
 same quantity, and reports the worst deviation it saw. A failing check
 serializes one offending instance as JSON so it can be replayed by hand. A
-NaN deviation fails its check. The heavy checks draw their instances
-stacked by (m, rank), bit-identical to one-by-one draws, and evaluate the
-independent route on stacks grouped by m, while the production functions
-they test run once per instance; the replay is the instance that offering
-each deviation in turn would have picked. The support-oracle check runs
-the separable oracle once per (m, rank) stack in the same way, the
-Bell-spectrum check takes one stacked special SVD of its frames, the
-rigidity check draws all its forms first and runs one stacked descent on
-the local forms and one on the bare forms, the m = 2 check runs the closed
-forms and the literal trace and Kronecker routes on stacks of its
-instances, and the asymmetric-norm check draws every iteration first and
-evaluates the norms, ratios, maximizers and hull mixtures on stacks. These
-last two replay their worst instance through the public closed forms,
-norms and maximizer, and fold the distance from the stacked values into
-their worst deviation. Every random settings size comes from _draw_size
-(m, then the rank). Every check that draws random settings of random
-sizes draws them through _random_instances, with an m x m Z or the 3x3
-normals of a C after each, and the two gauge-duality checks share one
-draw-and-skip loop.
+NaN deviation fails its check. No check rewinds the rng: random settings of
+random sizes come from _random_instances, in blocks, with a redraw of only
+a rejected party, and the m = 2 check draws its angles, rotations, Z's and
+C's as blocks. The heavy checks evaluate the independent route on stacks,
+while the production functions they test run once per instance; the
+replay is the first instance with the worst deviation. The m = 2 and
+asymmetric-norm checks replay their worst instance through the public
+closed forms, norms and maximizer, and fold the distance from the stacked
+values into their worst deviation.
 
 Reports are pure functions of (level, seed): running twice with the same
 arguments gives byte-identical text.
@@ -156,45 +146,26 @@ class _Worst:
         return _result(name, n, self.value, tol, self.detail)
 
 
-def _draw_size(rng, m_stop=6):
-    """m in 2..m_stop - 1, then a rank up to min(3, m)."""
-    m = int(rng.integers(2, m_stop))
-    return m, int(rng.integers(1, min(3, m) + 1))
-
-
-def _draw_settings(rng, m_stop=6):
-    """Random settings of the size _draw_size picks."""
-    return oracles.random_settings(rng, *_draw_size(rng, m_stop))
-
-
-def _random_instance(rng, m_stop=6, tail=None):
-    """One (settings, X) draw: settings from _draw_settings, then a Gaussian X
-    of shape tail, or a Z of shape (m, m) by default."""
-    s = _draw_settings(rng, m_stop)
-    return s, rng.standard_normal(tail or (s.m, s.m))
-
-
 def _random_instances(rng, n, m_stop=6, tail=None):
-    """n _random_instance draws: the same rng calls (a normal block per instance
-    for both parties' first tries and X), linear algebra once per (m, rank).
-    The settings take the drawn rows unchecked. A party that would draw again
-    rewinds the rng to draw one by one."""
-    state = rng.bit_generator.state
-    groups, blocks = {}, []
-    for i in range(n):
-        m, rank = _draw_size(rng, m_stop)
-        groups.setdefault((m, rank), []).append(i)
-        blocks.append(rng.standard_normal(2 * (9 + m * rank) + math.prod(tail or (m, m))))
+    """n (settings, X) draws of random size, X Gaussian of shape tail, or an
+    m x m Z by default.
+
+    The sizes come first, as two blocks: each instance's m in 2..m_stop - 1,
+    then each one's rank up to min(3, m). Each (m, rank) group, in
+    increasing order, then draws one normal block whose row for an instance
+    holds both parties' first tries and its X; a rejected party alone draws
+    again (oracles._unit_rows) before the next group's block. The settings
+    take the drawn rows unchecked.
+    """
+    m = rng.integers(2, m_stop, n)
+    rank = rng.integers(1, np.minimum(m, 3) + 1)
     instances = [None] * n
-    for (m, rank), idx in groups.items():
-        g = np.stack([blocks[i] for i in idx])
-        p = 9 + m * rank
-        rows, ok = oracles._party_rows(g[:, :2 * p].reshape(-1, 2, p), m, rank)
-        if not ok.all():
-            rng.bit_generator.state = state
-            return [_random_instance(rng, m_stop, tail) for _ in range(n)]
-        rows.setflags(write=False)
-        for i, stack, x in zip(idx, rows, g[:, 2 * p:].reshape((-1,) + (tail or (m, m)))):
+    for size in sorted(set(zip(m.tolist(), rank.tolist()))):
+        idx = np.flatnonzero((m == size[0]) & (rank == size[1]))
+        p, shape = 9 + size[0] * size[1], tail or (size[0], size[0])
+        g = rng.standard_normal((len(idx), 2 * p + math.prod(shape)))
+        rows = oracles._unit_rows(rng, g[:, :2 * p].reshape(-1, 2, p), *size)
+        for i, stack, x in zip(idx.tolist(), rows, g[:, 2 * p:].reshape((-1,) + shape)):
             instances[i] = (MeasurementSettings._from_unit_rows(stack), x)
     return instances
 
@@ -253,12 +224,14 @@ def _check_support_oracles(rng, sizes):
     ]
 
 
-def _finite_c(s, g):
+def _finite_c(a, b, g):
     """Correlation-type matrix guaranteed compatible with the setting ranges,
-    A g B.T for a 3x3 g, scaled to unit norm."""
-    c = s.a @ g @ s.b.T
-    norm = np.linalg.norm(c)
-    return c / norm if norm > 0 else c
+    A g B.T for a 3x3 g, scaled to unit norm (a zero C stays zero); a stack
+    of rows and normals gives a stack."""
+    c = a @ g @ np.swapaxes(b, -1, -2)
+    flat = c.reshape(c.shape[:-2] + (-1,))
+    norm = np.sqrt(oracles._dots(flat, flat))[..., None, None]
+    return c / np.where(norm > 0, norm, 1.0)
 
 
 def _finite_gauge_draws(rng, n, m_stop):
@@ -267,7 +240,7 @@ def _finite_gauge_draws(rng, n, m_stop):
     settings and the 3x3 normals of their C are one _random_instances draw."""
     for model in geometry.MODELS:
         for s, x in _random_instances(rng, n, m_stop, (3, 3)):
-            c = _finite_c(s, x)
+            c = _finite_c(s.a, s.b, x)
             g = geometry.gauge(model, s, c)
             if g.finite and g.value > 1e-12:
                 yield model, s, c, g
@@ -298,18 +271,11 @@ def _check_dual_oracle(rng, sizes):
     return [worst.result("gauge-vs-dual-oracle", count, 1e-8)]
 
 
-def _sin_sq(theta):
-    """sin(theta)^2 of each angle as a float64 scalar's ** 2 gives it: C pow,
-    which np.float_power keeps and the square that an array's ** 2 takes
-    differs from in the last bit."""
-    return np.float_power(np.sin(theta), 2)
-
-
 def _ell_2x2(theta):
     """The phase matrix of the literal quantum gauge route, one per angle."""
     ell = np.ones(theta.shape + (2, 2), dtype=complex)
     ell[:, 0, 1], ell[:, 1, 0] = -np.exp(1j * theta), -np.exp(-1j * theta)
-    return ell / _sin_sq(theta)[:, None, None]
+    return ell / (np.sin(theta) ** 2)[:, None, None]
 
 
 def _f_4x4(alpha, beta):
@@ -318,7 +284,7 @@ def _f_4x4(alpha, beta):
     cp, cm = np.cos(alpha + beta), np.cos(alpha - beta)
     f = np.stack([one, -ca, -cb, cp, -ca, one, cm, -cb,
                   -cb, cm, one, -ca, cp, -cb, -ca, one], axis=-1).reshape(-1, 4, 4)
-    return f / (_sin_sq(alpha) * _sin_sq(beta))[:, None, None]
+    return f / (np.sin(alpha) ** 2 * np.sin(beta) ** 2)[:, None, None]
 
 
 def _kron_2x2(x, y):
@@ -347,37 +313,41 @@ def _check_m2_forms(rng, sizes):
     compared on every draw. Deviations are measured relative to the value,
     since the gauge forms blow up as the angles degenerate.
 
-    Each instance is drawn and takes its production supports and gauges in
-    turn; the closed forms and the literal routes then run on stacks, and
-    the deviations are offered in instance and route order. The worst
-    instance is replayed through the public closed forms, and their
-    distance from the stacked values is offered too.
+    The draws are blocks, in this order: the moderate angles of every
+    instance, the near-degenerate products, the sides of pi/2 those angles
+    take, the seed of the rotations, the Z's and the normals of the C's;
+    both rotations of every instance are one block from that seed. The
+    production supports and gauges run once per instance; the closed forms
+    and the literal routes then run on stacks, and the deviations are
+    offered in instance and route order. The worst instance is rebuilt
+    through planar_settings and replayed through the public closed forms,
+    and their distance from the stacked values is offered too.
     """
     n = sizes["m2"]
-    draws = []
-    for i in range(n):
-        if i % 8 == 7:
-            log_product = -6.0 if i % 16 == 15 else rng.uniform(-6.0, -2.5)
-            sines = np.sqrt(10.0 ** log_product)
-            alpha = np.arcsin(sines) if rng.integers(2) else np.pi - np.arcsin(sines)
-            beta = np.arcsin(sines) if rng.integers(2) else np.pi - np.arcsin(sines)
-        else:
-            alpha = rng.uniform(0.05, np.pi - 0.05)
-            beta = rng.uniform(0.05, np.pi - 0.05)
-        s = geometry.planar_settings(alpha, beta, rng)
-        z = rng.standard_normal((2, 2))
-        c = _finite_c(s, rng.standard_normal((3, 3)))
-        phi = [geometry.support(model, s, z) for model in (SEP, QM)]
-        g = [geometry.gauge(model, s, c) for model in (SEP, QM)]
-        draws.append((alpha, beta, s, z, c, *phi, *(x.value for x in g), *(x.finite for x in g)))
-    alpha, beta, settings, z, c, phi_sep, phi_qm, g_sep, g_qm, *finite = zip(*draws)
-    alpha, beta, z, c = map(np.array, (alpha, beta, z, c))
-    a, b = np.stack([s.a for s in settings]), np.stack([s.b for s in settings])
-    finite = np.array(finite).T
     moderate = np.arange(n) % 8 != 7
+    near = np.flatnonzero(~moderate)
+    alpha, beta = rng.uniform(0.05, np.pi - 0.05, (2, n))
+    log_product = np.where(near % 16 == 15, -6.0, rng.uniform(-6.0, -2.5, len(near)))
+    low = np.arcsin(np.sqrt(10.0 ** log_product))
+    alpha[near], beta[near] = np.where(rng.integers(2, size=(2, len(near))), low, np.pi - low)
+    # the rotations come from a stream of their own, which the replay restarts
+    rotation_seed = int(rng.integers(2**31))
+    rotations = random_rotation(rotation_seed, "SO3", 2 * n).reshape(n, 2, 3, 3)
+    rows = geometry._planar_rows(alpha, beta, rotations)
+    rows.setflags(write=False)
+    a, b = rows[:, 0], rows[:, 1]
+    z = rng.standard_normal((n, 2, 2))
+    c = _finite_c(a, b, rng.standard_normal((n, 3, 3)))
+    settings = [MeasurementSettings._from_unit_rows(stack) for stack in rows]
+    phi = np.array([[geometry.support(model, s, zk) for model in (SEP, QM)]
+                    for s, zk in zip(settings, z)])
+    gauges = [[geometry.gauge(model, s, ck) for model in (SEP, QM)]
+              for s, ck in zip(settings, c)]
+    g = np.array([[x.value for x in pair] for pair in gauges])
+    finite = np.array([[x.finite for x in pair] for pair in gauges])
     valid = np.ones((n, len(_M2_TAGS)), dtype=bool)
     valid[:, 2:4], valid[:, 5:] = finite, moderate[:, None]
-    general = np.stack([phi_sep, phi_qm, g_sep, g_qm, phi_sep, g_sep, g_qm, g_qm], axis=1)
+    general = np.concatenate([phi, g, phi[:, :1], g, g[:, 1:]], axis=1)
 
     closed = np.full(general.shape, np.nan)
     closed[:, :2] = oracles._m2_closed_forms("support", a, b, z)
@@ -389,7 +359,7 @@ def _check_m2_forms(rng, sizes):
     zv = np.swapaxes(z, 1, 2).reshape(n, 4)
     kq = _quad_form(zv, _kron_2x2(gb, ga))
     jq = _quad_form(zv, _kron_2x2(oracles._skew_2x2(np.cos(beta), np.sin(beta)), ga))
-    closed[:, 4] = np.sqrt((kq + oracles._modulus(jq)) / 2.0)
+    closed[:, 4] = np.sqrt((kq + np.abs(jq)) / 2.0)
     # explicit matrix routes for the gauges, at moderate angles
     al, be, cm = alpha[moderate], beta[moderate], c[moderate]
     ct = np.swapaxes(cm, 1, 2)
@@ -423,7 +393,9 @@ def _check_m2_forms(rng, sizes):
     worst = _Worst()
     worst.offer_stack(devs, replay)
     k = int(offered[np.argmax(devs)]) // len(_M2_TAGS)
-    s = settings[k]
+    replay_rng = np.random.default_rng(rotation_seed)
+    replay_rng.standard_normal((2 * k, 3, 3))  # the rotations of the instances before k
+    s = geometry.planar_settings(alpha[k], beta[k], replay_rng)
     public = [oracles.support_m2_closed_form(model, s, z[k]) for model in (SEP, QM)]
     public += [oracles.gauge_m2_closed_form(model, s, c[k])
                for model, ok in zip((SEP, QM), finite[k]) if ok]
@@ -751,7 +723,7 @@ def _check_symmetry(rng, sizes):
     n = max(10, sizes["identity"] // 20)
     worst = 0.0
     for s, x in _random_instances(rng, n, tail=(3, 3)):
-        c = _finite_c(s, x)
+        c = _finite_c(s.a, s.b, x)
         for model in (SEP, MAX):
             plus = geometry.gauge(model, s, c)
             minus = geometry.gauge(model, s, -c)
@@ -776,7 +748,7 @@ def _check_hull_membership(rng, sizes):
     for model in geometry.MODELS:
         s = oracles.random_settings(rng, 3, 3)
         for _ in range(n):
-            c = _finite_c(s, rng.standard_normal((3, 3)))
+            c = _finite_c(s.a, s.b, rng.standard_normal((3, 3)))
             g = geometry.gauge(model, s, c)
             if not g.finite or g.value <= 1e-9:
                 continue

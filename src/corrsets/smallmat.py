@@ -138,10 +138,8 @@ def _det_sign(x, s):
     return dead_zone_sign(sign, s)
 
 
-# The norms of a spectrum s1 >= s2 >= s3, given as three floats or as three
-# arrays of a stack, in the one order of operations every caller shares.
-# Builtin sum is not used, since from Python 3.12 it adds floats with
-# compensation.
+# The norms of a spectrum s1 >= s2 >= s3, three floats or three arrays. Builtin
+# sum is not used: from Python 3.12 it adds floats with compensation.
 def _trace(values):
     s1, s2, s3 = values
     return s1 + s2 + s3

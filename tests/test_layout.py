@@ -23,7 +23,8 @@ MOVED = {"LEVI_CIVITA", "SpecialSvdResult", "special_svd", "max_trace_over_rotat
          "_gram_2x2", "_skew_2x2", "DEGENERATE_ANGLE_TOL"}
 # Wrappers and test-only helpers that no module defines any more.
 DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports",
-           "_numerical_rank", "_support_batch"}
+           "_numerical_rank", "_support_batch", "_draw_size", "_draw_settings",
+           "_random_instance", "one_party", "_modulus", "_sin_sq", "_signed_norm"}
 
 
 def _imports_and_definitions(name):
@@ -56,6 +57,22 @@ def test_every_module_imports_numpy_only(name):
     # pyproject.toml declares numpy alone; scipy, mpmath and Hypothesis may
     # be installed, but only tests may reach them, through importorskip
     assert not _imports_and_definitions(name)[0] & {"scipy", "mpmath", "hypothesis"}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_defines_a_deleted_name(name):
+    assert not _imports_and_definitions(name)[1] & DELETED
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_rewinds_a_generator(name):
+    # The battery's random stream is what its block draws take, in order. A
+    # module that saved and restored a generator's state could replay some
+    # other stream behind that rule, so none reads or sets bit_generator.state.
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "state" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "bit_generator"]
 
 
 def test_oracles_holds_the_moved_names():

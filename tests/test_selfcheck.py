@@ -1,10 +1,10 @@
 """The verification battery's bookkeeping: stacked offers pick the same
-replay as sequential ones, a NaN deviation fails its check, the stacked
-checks reproduce their former per-instance loops, and a quick battery still
+replay as sequential ones, a NaN deviation fails its check, random
+instances follow their block draw rule, the stacked checks draw what they
+document and agree with the public kernels, and a quick battery still
 calls the public verification kernels that its stacked checks replay."""
 
 import collections
-import itertools
 import math
 import sys
 
@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from corrsets import geometry, oracles, selfcheck, smallmat, twoqubit
-from corrsets.geometry import QM, SEP
-from corrsets.smallmat import (norm_minus, norm_plus, op_norm, random_rotation, signed_svals,
-                               trace_norm)
+from corrsets.smallmat import norm_minus, norm_plus, op_norm, random_rotation, trace_norm
 
-from helpers import scalar_gauge_m2, scalar_gram_2x2, scalar_skew_2x2, scalar_support_m2
+from helpers import assert_unit_rows_of_rank, rejecting_party_rows
 
 SIZES = selfcheck._SIZES["quick"]
 
@@ -129,76 +127,92 @@ def test_nan_bell_spectrum_fails_with_its_replay(monkeypatch):
 
 
 
-@pytest.mark.parametrize("m_stop", [5, 6])
-def test_draw_settings_keeps_the_rng_order(m_stop):
-    # m, then the rank, then the settings: the order the checks drew in
-    # before they shared one draw path, so their instances stay the same
-    for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        s = selfcheck._draw_settings(rng, m_stop)
-        m = int(ref.integers(2, m_stop))
-        want = oracles.random_settings(ref, m, int(ref.integers(1, min(3, m) + 1)))
-        assert 2 <= s.m < m_stop
-        assert np.array_equal(s.a, want.a) and np.array_equal(s.b, want.b)
-        assert rng.random() == ref.random()
+class _RecordingRng:
+    """A Generator that records the name and output of each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, out))
+            return out
+
+        return draw
 
 
-def _one_by_one(rng, m_stop, tail):
-    """A settings draw and its normals as the checks drew them before they
-    shared the stacked draw: a Z of shape (m, m), or the 3x3 block of a C."""
-    s = selfcheck._draw_settings(rng, m_stop)
-    return s, rng.standard_normal(tail or (s.m, s.m))
+def _hexes(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
 
 
-def _assert_instances_match_one_by_one_draws(seed, n, m_stop=6, tail=None):
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = selfcheck._random_instances(rng, n, m_stop, tail)
-    assert len(got) == n
-    for (s, z), (t, y) in zip(got, [_one_by_one(ref, m_stop, tail) for _ in range(n)]):
-        assert np.array_equal(s.a, t.a) and np.array_equal(s.b, t.b)
-        assert np.array_equal(z, y)
-        assert s.m < m_stop
-    assert rng.random() == ref.random()
+@pytest.mark.parametrize("m_stop, tail", [(5, None), (6, None), (5, (3, 3)), (6, (3, 3))])
+def test_random_instances_draw_every_size_in_blocks(m_stop, tail):
+    # the sizes as two integer blocks, then one normal block per (m, rank)
+    # group in increasing order, each row both parties' tries and the X
+    sizes = sorted((m, rank) for m in range(2, m_stop) for rank in range(1, min(3, m) + 1))
+    for seed in range(4):
+        rng = _RecordingRng(seed)
+        got = selfcheck._random_instances(rng, 200, m_stop, tail)
+        again = selfcheck._random_instances(np.random.default_rng(seed), 200, m_stop, tail)
+        members = collections.defaultdict(list)
+        for i, (s, _) in enumerate(got):
+            members[s.m, s.rank_a].append(i)
+        assert sorted(members) == sizes
+        assert [(name, np.shape(out)) for name, out in rng.draws] == [("integers", (200,))] * 2 + [
+            ("standard_normal", (len(members[m, rank]),
+                                 2 * (9 + m * rank) + math.prod(tail or (m, m))))
+            for m, rank in sizes]
+        # each instance is one row of its group's block: the parties' tries, then X
+        for (m, rank), (_, block) in zip(sizes, rng.draws[2:]):
+            p = 9 + m * rank
+            rows = oracles._party_rows(block[:, :2 * p].reshape(-1, 2, p), m, rank)[0]
+            for k, i in enumerate(members[m, rank]):
+                s, x = got[i]
+                assert _hexes(s._stack) == _hexes(rows[k])
+                assert _hexes(x) == _hexes(block[k, 2 * p:])
+        for (s, x), (t, y) in zip(got, again):
+            assert_unit_rows_of_rank(s, s.rank_a)
+            assert x.shape == (tail or (s.m, s.m))
+            assert _hexes(s._stack) == _hexes(t._stack) and _hexes(x) == _hexes(y)
 
 
-@pytest.mark.parametrize("n", [1, 2, 13, 200])
-def test_random_instances_are_the_one_by_one_draws(n):
-    # the stacked draw keeps the bit stream, so the checks' instances and
-    # every rng draw after them stay as they were
-    for seed in range(8):
-        _assert_instances_match_one_by_one_draws(seed, n)
-
-
-@pytest.mark.parametrize("m_stop", [5, 6])
-@pytest.mark.parametrize("n", [1, 13, 150])
-def test_c_draws_are_the_one_by_one_draws(n, m_stop):
-    # the gauge-duality and symmetry checks draw the 3x3 normals of a C
-    # after each settings, where the other checks draw an m x m Z
-    for seed in range(8):
-        _assert_instances_match_one_by_one_draws(seed, n, m_stop, (3, 3))
-
-
-def test_a_redraw_rewinds_the_rng_and_draws_one_by_one(monkeypatch):
-    real = oracles._party_rows
-    stacked_rejections, single_calls = [], []
-
-    def reject_a_stacked_block(g, m, rank):
-        rows, ok = real(g, m, rank)
-        if g.ndim < 3:  # a random_settings call: both parties, or one
-            single_calls.append(m)
-        elif len(g) > 1 and not stacked_rejections:
-            stacked_rejections.append(m)
-            ok[len(g) // 2] = False
-        return rows, ok
-
-    monkeypatch.setattr(oracles, "_party_rows", reject_a_stacked_block)
-    for seed, tail in itertools.product(range(4), (None, (3, 3))):
-        stacked_rejections.clear()
-        single_calls.clear()
-        _assert_instances_match_one_by_one_draws(seed, 40, tail=tail)
-        assert len(stacked_rejections) == 1
-        # the fallback plus the reference: one two-party call per instance, twice
-        assert len(single_calls) == 2 * 40
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize("tail", [None, (3, 3)])
+def test_random_instances_redraw_only_a_rejected_party(party, tail, monkeypatch):
+    n = 40
+    for seed in range(4):
+        ref = np.random.default_rng(seed)
+        kept = selfcheck._random_instances(ref, n, tail=tail)
+        # reject a party in the last group, whose redraw is then the rng's next draw
+        last = max((s.m, s.rank_a) for s, _ in kept)
+        group = [i for i, (s, _) in enumerate(kept) if (s.m, s.rank_a) == last]
+        j = len(group) // 2
+        p = 9 + last[0] * last[1]
+        redraw = ref.standard_normal((1, p))
+        runs = []
+        for _ in range(2):  # the same seed gives the same instances
+            blocks = rejecting_party_rows(monkeypatch, lambda g, m, rank: (
+                (j, party) if (m, rank) == last and g.ndim == 3 else None))
+            rng = np.random.default_rng(seed)
+            runs.append(selfcheck._random_instances(rng, n, tail=tail))
+            monkeypatch.undo()
+        got, again = runs
+        assert [g.shape for g in blocks if g.ndim == 2] == [(1, p)]
+        assert _hexes(blocks[-1]) == _hexes(redraw)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for i, ((s, x), (t, y), (u, w)) in enumerate(zip(got, kept, again)):
+            assert _hexes(x) == _hexes(y) == _hexes(w)
+            assert _hexes(s._stack) == _hexes(u._stack)
+            assert_unit_rows_of_rank(s, t.rank_a)
+            if i != group[j]:
+                assert _hexes(s._stack) == _hexes(t._stack)
+        s, t = got[group[j]][0], kept[group[j]][0]
+        assert _hexes(s._stack[1 - party]) == _hexes(t._stack[1 - party])
+        assert _hexes(s._stack[party]) == _hexes(oracles._party_rows(redraw, *last)[0])
+        assert _hexes(s._stack[party]) != _hexes(t._stack[party])
 
 
 def test_finite_gauge_draws_skip_and_keep_model_order(monkeypatch):
@@ -242,163 +256,40 @@ def test_rigidity_runs_one_descent_per_instance_with_zero_bare_parts(monkeypatch
     assert len(bare) == len(local) == 1 and len(bare[0]) == 10
 
 
-def _former_ell_2x2(theta):
-    return np.array([[1.0, -np.exp(1j * theta)],
-                     [-np.exp(-1j * theta), 1.0]]) / np.sin(theta) ** 2
-
-
-def _former_f_4x4(alpha, beta):
-    ca, cb = np.cos(alpha), np.cos(beta)
-    f = np.array([
-        [1.0, -ca, -cb, np.cos(alpha + beta)],
-        [-ca, 1.0, np.cos(alpha - beta), -cb],
-        [-cb, np.cos(alpha - beta), 1.0, -ca],
-        [np.cos(alpha + beta), -cb, -ca, 1.0],
-    ])
-    return f / (np.sin(alpha) ** 2 * np.sin(beta) ** 2)
-
-
-def _former_m2_forms(rng, sizes, offered):
-    """_check_m2_forms as it was written before its stacked routes, on the
-    scalar closed forms; each deviation it offers is appended to offered."""
-    n = sizes["m2"]
-    worst = selfcheck._Worst()
-    for i in range(n):
-        near_degenerate = i % 8 == 7
-        if near_degenerate:
-            log_product = -6.0 if i % 16 == 15 else rng.uniform(-6.0, -2.5)
-            sines = np.sqrt(10.0 ** log_product)
-            alpha = np.arcsin(sines) if rng.integers(2) else np.pi - np.arcsin(sines)
-            beta = np.arcsin(sines) if rng.integers(2) else np.pi - np.arcsin(sines)
-        else:
-            alpha = rng.uniform(0.05, np.pi - 0.05)
-            beta = rng.uniform(0.05, np.pi - 0.05)
-        s = geometry.planar_settings(alpha, beta, rng)
-        z = rng.standard_normal((2, 2))
-        c = selfcheck._finite_c(s, rng.standard_normal((3, 3)))
-
-        checks = []
-        for model in (SEP, QM):
-            checks.append((geometry.support(model, s, z), scalar_support_m2(model, s, z),
-                           "support-" + model))
-        g_sep = geometry.gauge(SEP, s, c)
-        if g_sep.finite:
-            checks.append((g_sep.value, scalar_gauge_m2(SEP, s, c), "gauge-sep"))
-        g_qm = geometry.gauge(QM, s, c)
-        if g_qm.finite:
-            checks.append((g_qm.value, scalar_gauge_m2(QM, s, c), "gauge-qm"))
-
-        ga, gb = scalar_gram_2x2(np.cos(alpha)), scalar_gram_2x2(np.cos(beta))
-        zv = z.T.ravel()
-        kq = float(zv @ np.kron(gb, ga) @ zv)
-        jq = complex(zv @ np.kron(scalar_skew_2x2(np.cos(beta), np.sin(beta)), ga) @ zv)
-        checks.append((geometry.support(SEP, s, z),
-                       np.sqrt((kq + abs(jq)) / 2.0), "support-sep-vec"))
-
-        if not near_degenerate:
-            ga_inv = np.linalg.inv(ga)
-            gb_inv = np.linalg.inv(gb)
-            sep_trace = float(np.trace(ga_inv @ c @ gb_inv @ c.T))
-            sep_lit = np.sqrt(max(0.0, sep_trace
-                                  + 2.0 * abs(float(np.linalg.det(c)))
-                                  / (np.sin(alpha) * np.sin(beta))))
-            checks.append((g_sep.value, sep_lit, "gauge-sep-literal"))
-            la = _former_ell_2x2(alpha)
-            t_plus = complex(np.trace(la @ c @ _former_ell_2x2(beta).T @ c.T)).real
-            t_minus = complex(np.trace(la @ c @ _former_ell_2x2(-beta).T @ c.T)).real
-            ell_val = 0.5 * (np.sqrt(max(0.0, t_plus)) + np.sqrt(max(0.0, t_minus)))
-            checks.append((g_qm.value, ell_val, "gauge-qm-literal"))
-            cv = c.T.ravel()
-            fq = float(cv @ _former_f_4x4(alpha, beta) @ cv)
-            fq_m = float(cv @ _former_f_4x4(alpha, -beta) @ cv)
-            vec_val = 0.5 * (np.sqrt(max(fq, 0.0)) + np.sqrt(max(fq_m, 0.0)))
-            checks.append((g_qm.value, vec_val, "gauge-qm-vec"))
-
-        for general, closed, tag in checks:
-            offered.append(abs(general - closed) / max(1.0, abs(general)))
-            worst.offer(offered[-1], tag=tag, alpha=alpha, beta=beta, a=s.a, b=s.b, z=z,
-                        c=c, general=general, closed=closed)
-    return [worst.result("m2-closed-forms", n, selfcheck._TOL_EXACT)]
-
-
-def _former_asymmetric_norms(rng, sizes, terms):
-    """_check_asymmetric_norms as it was written before its stacked routes,
-    with the one-matrix rotation maximizer written out; the terms of each
-    result are appended to terms[result]."""
-    n = max(20, sizes["identity"] // 20)
-    chain_dev = dual_dev = hull_dev = 0.0
-    for _ in range(n):
-        x = rng.standard_normal((3, 3))
-        lo, hi, tn = norm_minus(x), norm_plus(x), trace_norm(x)
-        op = op_norm(x)
-        chain = [op - lo, op - hi, lo - tn, hi - tn,
-                 abs(norm_plus(-x) - lo), abs(norm_minus(-x) - hi)]
-        if float(np.linalg.det(x)) >= 0.0:
-            chain.append(lo - hi)
-        chain_dev = selfcheck._nanmax(chain_dev, *chain)
-
-        ys = rng.standard_normal((50, 3, 3))
-        numer = np.einsum("ij,kij->k", x, ys)
-        sv, sign = signed_svals(ys)
-        sampled = float((numer / (sv[:, 0] + sv[:, 1] - sv[:, 2] * sign)).max())
-        u, s, v = oracles.special_svd(x)
-        q = u @ np.diag([1.0, 1.0, 1.0]) @ v.T
-        attained = float(np.sum(x * q)) / norm_minus(q)
-        dual = [sampled - hi, abs(attained - hi)]
-        dual_dev = selfcheck._nanmax(dual_dev, *dual)
-
-        qs = np.stack([random_rotation(rng, "SO3") for _ in range(5)])
-        mix = np.tensordot(rng.dirichlet(np.ones(5)), qs, axes=1)
-        hull = [norm_minus(mix) - 1.0]
-        hull_dev = selfcheck._nanmax(hull_dev, *hull)
-        for name, values in (("chain", chain), ("dual", dual), ("hull", hull)):
-            terms[name] += values
-    return [
-        selfcheck._result("asymmetric-norm-chain", n, chain_dev, selfcheck._TOL_EXACT),
-        selfcheck._result("asymmetric-norm-duality", n * 50, dual_dev, selfcheck._TOL_EIG),
-        selfcheck._result("rotation-hull-unit-ball", n * 5, hull_dev, selfcheck._TOL_EXACT),
-    ]
-
-
-def _hexes(values):
-    return [float.hex(float(v)) for v in values]
-
-
-def _assert_same_results(got, want):
-    assert got == want
-    assert _hexes(r.worst for r in got) == _hexes(r.worst for r in want)
-
-
 @pytest.mark.parametrize("seed", range(5))
-def test_stacked_m2_check_is_the_former_loop(seed, monkeypatch):
-    stacked, single = [], []
-    real_stack, real_offer = selfcheck._Worst.offer_stack, selfcheck._Worst.offer
+def test_m2_check_keeps_its_near_degenerate_cadence(seed, monkeypatch):
+    stacks, single = [], []
+    real_forms, real_offer = oracles._m2_closed_forms, selfcheck._Worst.offer
 
-    def offer_stack(self, devs, replay):
-        stacked.append(devs.copy())
-        real_stack(self, devs, replay)
+    def forms(kind, a, b, x):
+        stacks.append((kind, a, b))
+        return real_forms(kind, a, b, x)
 
     def offer(self, dev, **instance):
         single.append((instance["tag"], dev))
         real_offer(self, dev, **instance)
 
-    monkeypatch.setattr(selfcheck._Worst, "offer_stack", offer_stack)
+    monkeypatch.setattr(oracles, "_m2_closed_forms", forms)
     monkeypatch.setattr(selfcheck._Worst, "offer", offer)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = selfcheck._check_m2_forms(rng, SIZES)
-    offered = []
-    monkeypatch.setattr(selfcheck._Worst, "offer", real_offer)
-    want = _former_m2_forms(ref, SIZES, offered)
-    _assert_same_results(got, want)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    # every deviation in the same order and bits, and a replay through the
-    # public closed forms that lands on the stacked values exactly
-    assert len(stacked) == 1 and _hexes(stacked[0]) == _hexes(offered)
+    result, = selfcheck._check_m2_forms(np.random.default_rng(seed), SIZES)
+    assert result.passed and result.instances == SIZES["m2"]
+    kind, a, b = stacks[0]
+    assert kind == "support" and a.shape == b.shape == (SIZES["m2"], 2, 3)
+    ca, sa, cb, sb = oracles._cos_sin_m2(a, b)
+    product, i = sa * sb, np.arange(len(a))
+    # every 16th draw at exactly 1e-6, the other eighths between it and
+    # 10^-2.5, with either angle on either side of pi/2; the rest moderate
+    assert product[i % 16 == 15] == pytest.approx(1e-6, rel=1e-9)
+    near = i % 8 == 7
+    assert np.all((product[near] > 1e-6 * (1 - 1e-9)) & (product[near] < 10 ** -2.5))
+    assert {*np.sign(ca[near]), *np.sign(cb[near])} == {-1.0, 1.0}
+    assert np.all(np.minimum(sa, sb)[~near] > np.sin(0.05) * (1 - 1e-9))
+    # the replay through the public closed forms lands on the stacked values
     assert [dev for tag, dev in single if tag == "public-replay"] == [0.0]
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_stacked_asymmetric_norm_check_is_the_former_loop(seed, monkeypatch):
+def test_asymmetric_norm_terms_are_the_public_norms(seed, monkeypatch):
     calls = []
     real = selfcheck._nanmax
 
@@ -407,21 +298,29 @@ def test_stacked_asymmetric_norm_check_is_the_former_loop(seed, monkeypatch):
         return real(*devs)
 
     monkeypatch.setattr(selfcheck, "_nanmax", spy)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = selfcheck._check_asymmetric_norms(rng, SIZES)
-    monkeypatch.setattr(selfcheck, "_nanmax", real)
-    terms = collections.defaultdict(list)
-    want = _former_asymmetric_norms(ref, SIZES, terms)
-    _assert_same_results(got, want)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    # each result folds its terms, in iteration order, and a replay distance
-    # of exactly 0 (the chain's terms hold -inf where det x < 0 drops lo - hi)
-    n = got[0].instances
+    results = selfcheck._check_asymmetric_norms(np.random.default_rng(seed), SIZES)
+    assert all(r.passed for r in results)
+    n = results[0].instances
     folds = [devs for devs in calls if len(devs) > n]
     assert len(folds) == 3
-    for devs, name in zip(folds, ("chain", "dual", "hull")):
+    # each iteration's draws in order, and its terms from the public norms:
+    # a maximizing rotation q has norm_minus(q) = 1 and attains norm_plus(x)
+    rng = np.random.default_rng(seed)
+    terms = {"chain": [], "dual": [], "hull": []}
+    for _ in range(n):
+        x, ys = rng.standard_normal((3, 3)), rng.standard_normal((50, 3, 3))
+        qs, w = random_rotation(rng, "SO3", 5), rng.dirichlet(np.ones(5))
+        lo, hi, op, tn = norm_minus(x), norm_plus(x), op_norm(x), trace_norm(x)
+        terms["chain"] += [op - lo, op - hi, lo - tn, hi - tn, abs(norm_plus(-x) - lo),
+                           abs(norm_minus(-x) - hi),
+                           lo - hi if np.linalg.det(x) >= 0.0 else -np.inf]
+        sampled = np.einsum("ij,kij->k", x, ys) / [norm_minus(y) for y in ys]
+        terms["dual"] += [sampled.max() - hi, 0.0]
+        terms["hull"].append(norm_minus(np.tensordot(w, qs, axes=1)) - 1.0)
+    for devs, name in zip(folds, terms):
+        # the fold starts at 0 and ends with a replay distance of 0
         assert devs[0] == 0.0 and devs[-1] == 0.0
-        assert _hexes(d for d in devs[1:-1] if d != -np.inf) == _hexes(terms[name])
+        assert np.allclose(devs[1:-1], terms[name], rtol=0.0, atol=1e-12)
 
 
 _REPLAYED = {oracles: ("support_m2_closed_form", "gauge_m2_closed_form",

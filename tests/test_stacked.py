@@ -9,7 +9,9 @@ one-instance call, and settings built unchecked on drawn rows equal
 settings built by the public constructor. Values are compared by
 float.hex, so a moved last bit or a flipped zero sign fails. The first
 test pins the numpy premise all of them rest on: a stacked call of each
-kernel equals its per-matrix calls.
+kernel equals its per-matrix calls. The m = 2 closed forms are also held
+to the general SVD route at the battery's 1e-9 relative, and a rejected
+party of random_settings is redrawn alone.
 """
 
 import math
@@ -34,7 +36,7 @@ from corrsets.twoqubit import (PAULI, PauliForm, _block_positivity_stack,
                                block_positivity_minimum, classify_state, pauli_expand,
                                qubit_state, rho_max, tau_state, werner_state)
 
-from helpers import scalar_gauge_m2, scalar_support_m2
+from helpers import assert_unit_rows_of_rank, rejecting_party_rows
 
 COMBOS = [(m, rank) for m in (1, 2, 3, 4, 5) for rank in (1, 2, 3) if rank <= m]
 
@@ -230,43 +232,47 @@ def test_stacked_product_and_separable_states_are_the_scalar_formulas():
         qubit_state(np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
 
 
-def test_random_settings_draws_both_parties_at_once(monkeypatch):
-    def sequential(rng, m, rank):
-        def one_party():
-            while True:
-                rows, ok = oracles._party_rows(rng.standard_normal(9 + m * rank), m, rank)
-                if ok:
-                    return rows
-        return one_party(), one_party()
-
+def test_random_settings_draws_both_parties_at_once():
+    # with no party rejected, the two-party block is the two first tries
+    # drawn one after the other
     for m, rank in COMBOS:
         rng, ref = np.random.default_rng(m + 7 * rank), np.random.default_rng(m + 7 * rank)
         for _ in range(20):
             s = random_settings(rng, m, rank)
-            a, b = sequential(ref, m, rank)
-            assert hexes(s.a) == hexes(a) and hexes(s.b) == hexes(b)
+            for rows in (s.a, s.b):
+                want, ok = oracles._party_rows(ref.standard_normal(9 + m * rank), m, rank)
+                assert ok and hexes(rows) == hexes(want)
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    # a rejected first try of either party rewinds to one try at a time
-    real, calls = oracles._party_rows, []
 
-    def reject_one_party(g, m, rank):
-        rows, ok = real(g, m, rank)
-        calls.append(g.shape)
-        if g.ndim == 2:
-            ok[seed % 2] = False
-        return rows, ok
-
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize("rejections", [1, 2])
+def test_random_settings_redraws_only_a_rejected_party(party, rejections, monkeypatch):
+    m, rank = 4, 2
+    p = 9 + m * rank
     for seed in range(4):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = sequential(ref, 4, 2)
-        monkeypatch.setattr(oracles, "_party_rows", reject_one_party)
-        calls.clear()
-        s = random_settings(rng, 4, 2)
-        monkeypatch.setattr(oracles, "_party_rows", real)
-        assert calls == [(2, 17), (17,), (17,)]
-        assert hexes(s.a) == hexes(a) and hexes(s.b) == hexes(b)
+        ref = np.random.default_rng(seed)
+        kept = random_settings(ref, m, rank)
+        redraws = ref.standard_normal((rejections, 1, p))
+        runs = []
+        for _ in range(2):  # the same seed gives the same settings
+            blocks = rejecting_party_rows(monkeypatch, lambda g, m, rank: (
+                None if len(blocks) > rejections else party if g.shape[0] == 2 else 0))
+            rng = np.random.default_rng(seed)
+            runs.append(random_settings(rng, m, rank))
+            monkeypatch.undo()
+        s, again = runs
+        # the first block holds both tries; each redraw is one party's block
+        assert [g.shape for g in blocks] == [(2, p)] + [(1, p)] * rejections
+        assert hexes(blocks[1:]) == hexes(redraws)
         assert rng.bit_generator.state == ref.bit_generator.state
+        other = 1 - party
+        assert hexes(s._stack[other]) == hexes(kept._stack[other])
+        want, ok = oracles._party_rows(redraws[-1], m, rank)
+        assert ok.all() and hexes(s._stack[party]) == hexes(want[0])
+        assert hexes(s._stack[party]) != hexes(kept._stack[party])
+        assert_unit_rows_of_rank(s, rank)
+        assert hexes(again._stack) == hexes(s._stack)
 
 
 def _frames(rng, m, rank, n):
@@ -522,7 +528,13 @@ def _rows(settings):
     return np.stack([s.a for s in settings]), np.stack([s.b for s in settings])
 
 
-def test_stacked_m2_closed_forms_are_the_scalar_forms():
+def assert_m2_route(closed, general):
+    """Criterion 7's agreement, 1e-9 relative, of closed forms with the
+    general SVD route."""
+    assert abs(closed - general) <= 1e-9 * abs(general), (closed, general)
+
+
+def test_stacked_m2_closed_forms_are_the_general_route():
     rng = np.random.default_rng(30)
     settings = _m2_cases(rng)
     k = len(settings)
@@ -538,16 +550,18 @@ def test_stacked_m2_closed_forms_are_the_scalar_forms():
     assert supports.shape == gauges.shape == (k, 2)
     for i, s in enumerate(settings):
         for col, model in enumerate((SEP, QM)):
-            want = scalar_support_m2(model, s, zs[i])
-            assert hexes([supports[i, col], support_m2_closed_form(model, s, zs[i])]) == hexes(
-                [want, want])
-            want = scalar_gauge_m2(model, s, cs[i])
-            assert hexes([gauges[i, col], gauge_m2_closed_form(model, s, cs[i])]) == hexes(
-                [want, want])
+            # the public wrappers are the stack's one-instance case
+            public = support_m2_closed_form(model, s, zs[i]), gauge_m2_closed_form(model, s, cs[i])
+            assert hexes(public) == hexes([supports[i, col], gauges[i, col]])
+            assert_m2_route(supports[i, col], support(model, s, zs[i]))
+            g = gauge(model, s, cs[i])
+            assert g.finite
+            assert_m2_route(gauges[i, col], g.value)
     # the cases reach the smallest sine product the battery draws
     _, sa, _, sb = oracles._cos_sin_m2(a, b)
     assert (sa * sb).min() == pytest.approx(1e-6, rel=1e-6)
-    assert np.isinf(supports[::4]).sum() == 0 and supports[2].tolist() == [0.0, 0.0]
+    assert np.isfinite(supports).all() and supports[2].tolist() == [0.0, 0.0]
+    assert (supports[::4] > 2.0 ** 590).all() and (supports[1::4] < 2.0 ** -590).all()
 
 
 def test_stacked_m2_gauge_rejects_a_degenerate_pair():
@@ -559,12 +573,10 @@ def test_stacked_m2_gauge_rejects_a_degenerate_pair():
         oracles._m2_closed_forms("gauge", a, b, cs)
     with pytest.raises(ValueError, match="collinear"):
         gauge_m2_closed_form(SEP, settings[-1], cs[-1])
-    with pytest.raises(ValueError, match="collinear"):
-        scalar_gauge_m2(SEP, settings[-1], cs[-1])
     # the support needs no sine bound
     supports = oracles._m2_closed_forms("support", a, b, cs)
-    assert hexes(supports[-1]) == hexes([scalar_support_m2(model, settings[-1], cs[-1])
-                                         for model in (SEP, QM)])
+    for col, model in enumerate((SEP, QM)):
+        assert_m2_route(supports[-1, col], support(model, settings[-1], cs[-1]))
     cs[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         oracles._m2_closed_forms("support", a, b, cs)
