@@ -7,6 +7,13 @@ from corrsets.geometry import UNIT_ROW_TOL
 from corrsets.oracles import random_settings
 
 
+def hexes(x):
+    """float.hex of every real (and imaginary) part of x, in order."""
+    x = np.asarray(x)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return [float.hex(v) for part in parts for v in np.ravel(part).tolist()]
+
+
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)

@@ -14,7 +14,7 @@ import pytest
 from corrsets import geometry, oracles, selfcheck, smallmat, twoqubit
 from corrsets.smallmat import norm_minus, norm_plus, op_norm, random_rotation, trace_norm
 
-from helpers import assert_unit_rows_of_rank, rejecting_party_rows
+from helpers import assert_unit_rows_of_rank, hexes, rejecting_party_rows
 
 SIZES = selfcheck._SIZES["quick"]
 
@@ -144,10 +144,6 @@ class _RecordingRng:
         return draw
 
 
-def _hexes(values):
-    return [float.hex(float(v)) for v in np.ravel(values)]
-
-
 @pytest.mark.parametrize("m_stop, tail", [(5, None), (6, None), (5, (3, 3)), (6, (3, 3))])
 def test_random_instances_draw_every_size_in_blocks(m_stop, tail):
     # the sizes as two integer blocks, then one normal block per (m, rank)
@@ -171,12 +167,12 @@ def test_random_instances_draw_every_size_in_blocks(m_stop, tail):
             rows = oracles._party_rows(block[:, :2 * p].reshape(-1, 2, p), m, rank)[0]
             for k, i in enumerate(members[m, rank]):
                 s, x = got[i]
-                assert _hexes(s._stack) == _hexes(rows[k])
-                assert _hexes(x) == _hexes(block[k, 2 * p:])
+                assert hexes(s._stack) == hexes(rows[k])
+                assert hexes(x) == hexes(block[k, 2 * p:])
         for (s, x), (t, y) in zip(got, again):
             assert_unit_rows_of_rank(s, s.rank_a)
             assert x.shape == (tail or (s.m, s.m))
-            assert _hexes(s._stack) == _hexes(t._stack) and _hexes(x) == _hexes(y)
+            assert hexes(s._stack) == hexes(t._stack) and hexes(x) == hexes(y)
 
 
 @pytest.mark.parametrize("party", [0, 1])
@@ -201,18 +197,18 @@ def test_random_instances_redraw_only_a_rejected_party(party, tail, monkeypatch)
             monkeypatch.undo()
         got, again = runs
         assert [g.shape for g in blocks if g.ndim == 2] == [(1, p)]
-        assert _hexes(blocks[-1]) == _hexes(redraw)
+        assert hexes(blocks[-1]) == hexes(redraw)
         assert rng.bit_generator.state == ref.bit_generator.state
         for i, ((s, x), (t, y), (u, w)) in enumerate(zip(got, kept, again)):
-            assert _hexes(x) == _hexes(y) == _hexes(w)
-            assert _hexes(s._stack) == _hexes(u._stack)
+            assert hexes(x) == hexes(y) == hexes(w)
+            assert hexes(s._stack) == hexes(u._stack)
             assert_unit_rows_of_rank(s, t.rank_a)
             if i != group[j]:
-                assert _hexes(s._stack) == _hexes(t._stack)
+                assert hexes(s._stack) == hexes(t._stack)
         s, t = got[group[j]][0], kept[group[j]][0]
-        assert _hexes(s._stack[1 - party]) == _hexes(t._stack[1 - party])
-        assert _hexes(s._stack[party]) == _hexes(oracles._party_rows(redraw, *last)[0])
-        assert _hexes(s._stack[party]) != _hexes(t._stack[party])
+        assert hexes(s._stack[1 - party]) == hexes(t._stack[1 - party])
+        assert hexes(s._stack[party]) == hexes(oracles._party_rows(redraw, *last)[0])
+        assert hexes(s._stack[party]) != hexes(t._stack[party])
 
 
 def test_finite_gauge_draws_skip_and_keep_model_order(monkeypatch):

@@ -36,16 +36,9 @@ from corrsets.twoqubit import (PAULI, PauliForm, _block_positivity_stack,
                                block_positivity_minimum, classify_state, pauli_expand,
                                qubit_state, rho_max, tau_state, werner_state)
 
-from helpers import assert_unit_rows_of_rank, rejecting_party_rows
+from helpers import assert_unit_rows_of_rank, hexes, rejecting_party_rows
 
 COMBOS = [(m, rank) for m in (1, 2, 3, 4, 5) for rank in (1, 2, 3) if rank <= m]
-
-
-def hexes(x):
-    """float.hex of every real (and imaginary) part of x, in order."""
-    x = np.asarray(x)
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return [float.hex(v) for part in parts for v in np.ravel(part).tolist()]
 
 
 def test_stacked_numpy_kernels_equal_their_per_matrix_calls():
