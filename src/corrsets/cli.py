@@ -240,16 +240,17 @@ def _spectral_report(args, scenario: Scenario, label: str, spectrum, value_repr:
 
 def cmd_support(args) -> int:
     scenario = _resolve_scenario(args)
-    value, frame = geometry._support_spectrum(args.model, scenario.settings,
-                                              scenario.coefficient())
-    return _spectral_report(args, scenario, "frame", frame, _fmt(value), value=value)
+    s, z = scenario.settings, scenario.coefficient()
+    value = geometry.support(args.model, s, z)
+    return _spectral_report(args, scenario, "frame", geometry._frame_record(s, z), _fmt(value),
+                            value=value)
 
 
 def cmd_gauge(args) -> int:
     scenario = _resolve_scenario(args)
-    g, core = geometry._gauge_spectrum(args.model, scenario.settings, scenario.correlation(),
-                                       report=True)
-    return _spectral_report(args, scenario, "core", core,
+    s, c = scenario.settings, scenario.correlation()
+    g = geometry.gauge(args.model, s, c)
+    return _spectral_report(args, scenario, "core", geometry._core_record(s, c, report=True).core,
                             _fmt(g.value) if g.finite else "infinite",
                             finite=g.finite, value=g.value if g.finite else None)
 
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
         # by name, so that callers who rebind cmd_* see the calls
         with np.errstate(over="ignore", invalid="ignore"):
             return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,8 +41,7 @@ import numpy as np
 
 from . import geometry, twoqubit
 from .detect import MAX_OVER_QM, QM_OVER_SEP
-from .geometry import (_NORM_SQ_RANGE, MAX, QM, SEP, MeasurementSettings, _read_only,
-                       _square_sums)
+from .geometry import MAX, QM, SEP, MeasurementSettings, _dots, _read_only, _unit_scaled
 from .smallmat import _as_finite_matrix, dead_zone_sign, random_rotation
 from .twoqubit import qubit_state
 
@@ -284,12 +283,6 @@ def _cos_sin_m2(a, b):
     return cos[:, 0], sin[:, 0], cos[:, 1], sin[:, 1]
 
 
-def _dots(x, y):
-    """x . y along the last axis: a stacked matmul dot, one ddot per entry as
-    in a 1-d x @ y or np.linalg.norm."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _cross_norm(rows):
     """|rows[..., 0, :] x rows[..., 1, :]|, with the products and differences
     of np.cross."""
@@ -357,13 +350,9 @@ def _m2_closed_forms(kind: str, a, b, x) -> np.ndarray:
         raise ValueError("input has non-finite entries")
     # The squares below overflow or underflow far from unit scale. The support
     # is positively homogeneous, so a Z whose square sum leaves the range is
-    # evaluated with its largest entry brought into [0.5, 1) and scaled back;
-    # both scalings are exact, and a support beyond the float range comes back
-    # as inf, as it does from support.
-    norm_sq = _square_sums(x)
-    far = ~((_NORM_SQ_RANGE[0] <= norm_sq) & (norm_sq <= _NORM_SQ_RANGE[1])) & x.any(axis=(1, 2))
-    e = np.where(far, np.frexp(np.abs(x).max(axis=(1, 2)))[1], 0)
-    z = np.ldexp(x, -e[:, None, None])
+    # evaluated unit-scaled and scaled back, and a support beyond the float
+    # range comes back as inf, as it does from support.
+    z, e, _ = _unit_scaled(x)
     zt = np.swapaxes(z, 1, 2)
     left = _gram_2x2(ca) @ z
     quad = np.trace(left @ _gram_2x2(cb) @ zt, axis1=1, axis2=2)

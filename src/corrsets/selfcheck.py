@@ -230,7 +230,7 @@ def _finite_c(a, b, g):
     of rows and normals gives a stack."""
     c = a @ g @ np.swapaxes(b, -1, -2)
     flat = c.reshape(c.shape[:-2] + (-1,))
-    norm = np.sqrt(oracles._dots(flat, flat))[..., None, None]
+    norm = np.sqrt(geometry._dots(flat, flat))[..., None, None]
     return c / np.where(norm > 0, norm, 1.0)
 
 

@@ -264,17 +264,6 @@ def test_seed_is_only_echoed(capsys, argv):
         assert out9 == out0.replace(echo.format(0), echo.format(9))
 
 
-def test_ratios_arithmetic_error_exits_2(capsys, monkeypatch):
-    def broken(s, pair):
-        raise ArithmeticError("constructed maximizer misses the radius")
-
-    monkeypatch.setattr(cli.detect, "containment_radius", broken)
-    rc, out, err = run(capsys, "ratios", "--scenario", "pauli3")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: constructed maximizer")
-
-
 @pytest.fixture(scope="module")
 def _battery_cache():
     return {}

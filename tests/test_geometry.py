@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -10,17 +11,19 @@ import pytest
 from corrsets import cli, geometry
 from corrsets.detect import (Z_CHSH, chsh_settings, i3322_settings, pauli_settings,
                              rotated_settings)
-from corrsets.geometry import (MAX, MODELS, QM, SEP, GaugeValue,
-                               MeasurementSettings, _gauge_spectrum, _range_deficit,
-                               _support_spectrum, correlation_matrix, extreme_point, gauge,
-                               membership, optimizer_z, planar_settings, support)
+from corrsets.geometry import (MAX, MODELS, QM, RANGE_TOL, SEP, GaugeValue,
+                               MeasurementSettings, _core_record, _frame_record,
+                               _range_verdict, _range_verdicts, _square_sum, _square_sums,
+                               correlation_matrix, extreme_point, gauge, gauge_stack,
+                               membership, optimizer_z, planar_settings, support,
+                               support_stack)
 from corrsets.oracles import (_cos_sin_m2, gauge_m2_closed_form, gram_equivalent_support,
                               random_settings, support_m2_closed_form)
 from corrsets.smallmat import (EPS, RANK_TOL, _op_norm, _trace, _trace_norm, norm_minus, norm_plus,
                                op_norm, random_rotation, signed_svals, trace_norm)
 from corrsets.twoqubit import rho_max, werner_state
 
-from helpers import construct_target_Z, draw_settings, feasible_c, random_unit
+from helpers import construct_target_Z, draw_settings, feasible_c, hexes, random_unit
 
 RNG = np.random.default_rng(7)
 
@@ -239,7 +242,9 @@ EXTREME_SCALES = (1e-200, 1e-120, 1e-30, 1e30, 1e120, 1e200)
 @pytest.mark.parametrize("model", MODELS)
 def test_support_and_gauge_are_homogeneous_at_extreme_scales(model, k):
     """support(kZ) = k support(Z) and gauge(kC) = k gauge(C) far from unit
-    scale, with no numpy warning; a C outside the range stays infinite."""
+    scale, with no numpy warning; a C outside the range stays infinite. The
+    stacked forms rescale each matrix of a mixed-scale stack on its own and
+    give the scalar bits."""
     rng = np.random.default_rng(41)
     cases = [(pauli_settings(), np.eye(3), np.eye(3))]
     for m, rank in ((3, 3), (4, 3), (4, 2), (5, 2)):
@@ -250,10 +255,22 @@ def test_support_and_gauge_are_homogeneous_at_extreme_scales(model, k):
         g = gauge(model, s, k * c)
         assert g.finite
         assert g.value / k == pytest.approx(gauge(model, s, c).value, rel=1e-12)
+        _assert_stacks_give_the_scalar_bits(model, s, np.stack([z, k * z]), np.stack([c, k * c]))
     s = draw_settings(rng, 4, 2)
     off_range = rng.standard_normal((4, 4))
     assert not gauge(model, s, off_range).finite
     assert not gauge(model, s, k * off_range).finite
+    stack = np.stack([off_range, k * off_range, k * feasible_c(rng, s), np.zeros((4, 4))])
+    _assert_stacks_give_the_scalar_bits(model, s, stack, stack)
+    assert gauge_stack(model, s, stack)[0].tolist() == [False, False, True, True]
+
+
+def _assert_stacks_give_the_scalar_bits(model, s, zs, cs):
+    assert hexes(support_stack(model, s, zs)) == [support(model, s, z).hex() for z in zs]
+    finite, value = gauge_stack(model, s, cs)
+    scalar = [gauge(model, s, c) for c in cs]
+    assert finite.tolist() == [g.finite for g in scalar]
+    assert hexes(value) == [g.value.hex() for g in scalar]
 
 
 @pytest.mark.filterwarnings("error")
@@ -508,13 +525,25 @@ def test_support_and_gauge_are_the_checked_norms_of_the_formed_matrix():
 
 
 def test_range_deficit_is_the_frobenius_norm_bit_for_bit():
+    """Both range verdicts take the deficit |C - P C| as the square root of
+    a square sum, np.linalg.norm bit for bit, and give the verdict that
+    np.linalg.norm gives for a C near the tolerance."""
     rng = np.random.default_rng(59)
     for s in _settings_of_every_rank(rng):
         for _ in range(20):
             c = rng.standard_normal((s.m, s.m))
             for projector, probe in ((s.projector_a, c), (s.projector_b, c.T)):
-                assert _range_deficit(projector, probe) == float(
-                    np.linalg.norm(probe - projector @ probe))
+                deficit = probe - projector @ probe
+                norm = float(np.linalg.norm(deficit))
+                assert math.sqrt(_square_sum(deficit)) == norm
+                assert np.sqrt(_square_sums(deficit[None])).tolist() == [norm]
+            near = feasible_c(rng, s) + RANGE_TOL * rng.uniform(0.5, 2.0) * c / np.linalg.norm(c)
+            tol = RANGE_TOL * np.linalg.norm(near)
+            expected = not any(rank < s.m and np.linalg.norm(x - projector @ x) > tol
+                               for rank, projector, x in ((s.rank_a, s.projector_a, near),
+                                                          (s.rank_b, s.projector_b, near.T)))
+            assert _range_verdict(s, near)[0] is expected
+            assert _range_verdicts(s, near[None])[0].tolist() == [expected]
 
 
 def test_range_projectors_are_cached_and_read_only():
@@ -682,19 +711,17 @@ def test_support_and_gauge_read_one_spectrum(monkeypatch, model):
         calls = _linalg_counter(monkeypatch)
         support(model, s, z)
         gauge(model, s, c)
+        # a report reads the records the values came from, off the slots
+        records = [_frame_record(s, z), _core_record(s, c, report=True).core]
         monkeypatch.undo()
         # qm reads the sign of the frame, and of the core at full rank only.
-        signed = [_support_spectrum(model, s, z)[1]]
-        signed += [_gauge_spectrum(model, s, c)[1]] * (s.r == 3)
+        signed = records[:2 if s.r == 3 else 1]
         outside = sum(bool(w.svals[2] > 8 * EPS * w.svals[0]) for w in signed)
         if s.r >= 2:  # rank-1 frames can carry rounding noise above the dead zone
             assert outside == (2 if s.r == 3 else 0)
         determinants = outside if model == QM else 0
         assert (len(calls["svdvals"]), len(calls["slogdet"])) == (2, determinants)
-        for (value, record), direct, matrix in (
-                (_support_spectrum(model, s, z), support(model, s, z), s.a.T @ z @ s.b),
-                (_gauge_spectrum(model, s, c), gauge(model, s, c), s.pinv_a @ c @ s.pinv_b.T)):
-            assert value == direct
+        for record, matrix in zip(records, (s.a.T @ z @ s.b, s.pinv_a @ c @ s.pinv_b.T)):
             sv, sign = signed_svals(matrix)
             assert np.array_equal(record.svals, sv) and record.sign == float(sign)
 
@@ -704,11 +731,11 @@ def test_out_of_range_gauge_forms_its_core_only_for_a_report():
     s = draw_settings(rng, 4, 2)
     c = rng.standard_normal((4, 4))
     for model in MODELS:
-        g, core = _gauge_spectrum(model, s, c)
-        assert not g.finite and core is None
-        g, core = _gauge_spectrum(model, s, c, report=True)
-        assert not g.finite
-        assert np.array_equal(core.matrix, s.pinv_a @ c @ s.pinv_b.T)
+        t = MeasurementSettings(s.a, s.b)
+        assert not gauge(model, t, c).finite and _core_record(t, c).core is None
+        record = _core_record(t, c, report=True)
+        assert not record.finite
+        assert np.array_equal(record.core.matrix, s.pinv_a @ c @ s.pinv_b.T)
 
 
 def _counting(monkeypatch, name):
@@ -768,8 +795,7 @@ def test_record_slots_give_fresh_bits_for_either_memory_order():
                 assert _each_value(t, *orders[k]) == expected[k]
         if s.m > 1:
             t = MeasurementSettings(s.a, s.b)
-            assert _support_spectrum(SEP, t, orders[0][0])[1] is not _support_spectrum(
-                SEP, t, orders[1][0])[1]
+            assert _frame_record(t, orders[0][0]) is not _frame_record(t, orders[1][0])
 
 
 def test_record_slots_never_cross_alternating_inputs():
@@ -785,10 +811,11 @@ def test_records_are_reused_and_read_only():
     rng = np.random.default_rng(109)
     s = draw_settings(rng, 4, 2)
     z, c, outside = rng.standard_normal((4, 4)), feasible_c(rng, s), rng.standard_normal((4, 4))
-    records = [_support_spectrum(SEP, s, z)[1], _gauge_spectrum(SEP, s, c)[1],
-               _gauge_spectrum(SEP, s, outside, report=True)[1],
-               _gauge_spectrum(SEP, s, np.zeros((4, 4)), report=True)[1]]
-    assert _support_spectrum(QM, s, z)[1] is records[0]
+    records = [_frame_record(s, z), _core_record(s, c).core,
+               _core_record(s, outside, report=True).core,
+               _core_record(s, np.zeros((4, 4)), report=True).core]
+    support(QM, s, z)
+    assert _frame_record(s, z) is records[0]
     for record in records:
         for x in (record.matrix, record.svals):
             assert not x.flags.writeable
@@ -892,12 +919,12 @@ def test_gauge_at_zero_takes_no_svd(monkeypatch):
         assert membership(QM, s, zero)
         assert (calls["svd"], calls["svdvals"], cores) == ([], [], [])
         monkeypatch.undo()
-        for model in MODELS:
-            assert _gauge_spectrum(model, s, zero)[1] is None
-            g, core = _gauge_spectrum(model, s, zero, report=True)
-            assert g == GaugeValue(True, 0.0)
-            assert np.array_equal(core.matrix, np.zeros((3, 3)))
-            assert np.array_equal(core.svals, np.zeros(3)) and core.sign == 0.0
+        assert _core_record(s, zero).core is None
+        record = _core_record(s, zero, report=True)
+        assert [gauge(model, s, zero) for model in MODELS] == [GaugeValue(True, 0.0)] * 3
+        core = record.core
+        assert np.array_equal(core.matrix, np.zeros((3, 3)))
+        assert np.array_equal(core.svals, np.zeros(3)) and core.sign == 0.0
 
 
 def test_float_norms_are_the_kernels_bit_for_bit():

@@ -24,7 +24,9 @@ MOVED = {"LEVI_CIVITA", "SpecialSvdResult", "special_svd", "max_trace_over_rotat
 # Wrappers and test-only helpers that no module defines any more.
 DELETED = {"kron", "vec", "eigenvalues_hermitian", "construct_target_Z", "_gram_supports",
            "_numerical_rank", "_support_batch", "_draw_size", "_draw_settings",
-           "_random_instance", "one_party", "_modulus", "_sin_sq", "_signed_norm"}
+           "_random_instance", "one_party", "_modulus", "_sin_sq", "_signed_norm",
+           "_support_spectrum", "_gauge_spectrum", "_range_deficit", "_checked_square",
+           "_checked_stack"}
 
 
 def _imports_and_definitions(name):
@@ -165,6 +167,23 @@ def test_frames_and_cores_are_formed_only_by_the_record_constructors(name):
         assert calls.get(formed, set()) <= (owners if name == "geometry" else set())
     if name == "geometry":
         assert {formed: calls[formed] for formed in builders} == builders
+
+
+def test_records_and_stacks_share_one_norm_table_rescale_and_dot():
+    # One matrix and a stack read each model's norm off one table, the range
+    # verdicts and the m = 2 closed forms take one power-of-two rescale, and
+    # every stacked dot is geometry's, so no two routes can drift apart.
+    owners = {"_support_norm": {"support", "support_stack"},
+              "_gauge_norm": {"gauge", "gauge_stack"}, "frexp": {"_unit_scaled"}}
+    for name in (p.stem for p in SRC.glob("*.py")):
+        calls = _calls_by_function(name)
+        for called, callers in owners.items():
+            if name == "geometry":
+                assert calls[called] == callers
+            elif called != "frexp" or name == "oracles":
+                assert called not in calls
+    assert [p.stem for p in SRC.glob("*.py")
+            if "_dots" in _imports_and_definitions(p.stem)[1]] == ["geometry"]
 
 
 def test_detect_reads_geometry_through_its_public_names():
