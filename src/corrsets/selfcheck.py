@@ -34,15 +34,15 @@ from .smallmat import (_signed, norm_minus, norm_plus, op_norm, pinv, random_rot
 
 LEVELS = ("quick", "full")
 
-# Sample counts per level. The quick column is sized for a seconds-scale
-# smoke run, the full column for the real gate.
+# Sample counts per level, one key for each count a check draws. The quick
+# column is sized for a seconds-scale smoke run, the full one for the real gate.
 _SIZES = {
     "quick": dict(combo=25, dual=150, dual_oracle=6, identity=2000, recon=20_000,
                   m2=400, mc_states=400, mc_z=8, hull=2, scan=500, rigidity=120,
-                  pullback=400),
+                  pullback=400, pinv=100, vec=100, asym=100, symmetry=100),
     "full": dict(combo=1000, dual=1000, dual_oracle=25, identity=10_000, recon=100_000,
                  m2=10_000, mc_states=10_000, mc_z=100, hull=8, scan=10_000,
-                 rigidity=1000, pullback=5000),
+                 rigidity=1000, pullback=5000, pinv=500, vec=500, asym=500, symmetry=500),
 }
 
 _COMBOS = [(m, rank) for m in (2, 3, 4, 5) for rank in (1, 2, 3) if rank <= min(3, m)]
@@ -414,10 +414,8 @@ def _check_kernel_identities(rng, sizes):
     # free these stacks before the instances below are drawn and stacked
     del mats, u, sv, vt
 
-    n = sizes["identity"]
-    n_pinv = max(1, n // 20)
     penrose_dev = 0.0
-    for _ in range(n_pinv):
+    for _ in range(sizes["pinv"]):
         m = int(rng.integers(1, 7))
         x = rng.standard_normal((m, 3))
         k = int(rng.integers(1, 4))
@@ -434,7 +432,7 @@ def _check_kernel_identities(rng, sizes):
         )
 
     vec_dev = 0.0
-    for _ in range(max(1, n // 20)):
+    for _ in range(sizes["vec"]):
         ma, mb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = rng.standard_normal((ma, 3))
         x = rng.standard_normal((3, 3))
@@ -443,16 +441,16 @@ def _check_kernel_identities(rng, sizes):
             (a @ x @ b.T).T.ravel() - np.kron(b, a) @ x.T.ravel()).max()))
 
     det_dev = 0.0
-    for _, a, b, z in _stacks(_random_instances(rng, n)):
+    for _, a, b, z in _stacks(_random_instances(rng, sizes["identity"])):
         frames = np.swapaxes(a, 1, 2) @ z @ b
         det_dev = _nanmax(det_dev, float(np.max(np.abs(
             det3_intrinsic(a, b, z) - np.linalg.det(frames)))))
 
     return [
         _result("svd-reconstruction", n_recon, recon_dev, 1e-11),
-        _result("pseudoinverse-laws", n_pinv, penrose_dev, 1e-8),
-        _result("vectorization-identity", max(1, n // 20), vec_dev, _TOL_EXACT),
-        _result("intrinsic-determinant", n, det_dev, _TOL_EXACT),
+        _result("pseudoinverse-laws", sizes["pinv"], penrose_dev, 1e-8),
+        _result("vectorization-identity", sizes["vec"], vec_dev, _TOL_EXACT),
+        _result("intrinsic-determinant", sizes["identity"], det_dev, _TOL_EXACT),
     ]
 
 
@@ -478,7 +476,7 @@ def _check_asymmetric_norms(rng, sizes):
     and maximizer, and their distance from the stacked values is folded
     into that result.
     """
-    n = max(20, sizes["identity"] // 20)
+    n = sizes["asym"]
     x, ys, qs, w = map(np.array, zip(*[
         (rng.standard_normal((3, 3)), rng.standard_normal((50, 3, 3)),
          random_rotation(rng, "SO3", 5), rng.dirichlet(np.ones(5))) for _ in range(n)]))
@@ -720,7 +718,7 @@ def _check_table1(rng, sizes):
 def _check_symmetry(rng, sizes):
     """Evenness of the separable and maximal gauges; the quantum gauge is
     genuinely asymmetric."""
-    n = max(10, sizes["identity"] // 20)
+    n = sizes["symmetry"]
     worst = 0.0
     for s, x in _random_instances(rng, n, tail=(3, 3)):
         c = _finite_c(s.a, s.b, x)
@@ -734,8 +732,7 @@ def _check_symmetry(rng, sizes):
     s3 = detect.pauli_settings()
     lopsided = geometry.gauge(QM, s3, np.eye(3)).value
     mirrored = geometry.gauge(QM, s3, -np.eye(3)).value
-    if abs(lopsided - 3.0) > 1e-9 or abs(mirrored - 1.0) > 1e-9:
-        worst = _nanmax(worst, abs(lopsided - 3.0), abs(mirrored - 1.0))
+    worst = _nanmax(worst, abs(lopsided - 3.0), abs(mirrored - 1.0))
     return [_result("gauge-symmetry", 2 * n + 2, worst, _TOL_EXACT)]
 
 
@@ -865,19 +862,19 @@ def _check_noise_homogeneity(rng, sizes):
 
 
 def _check_scenario(s: MeasurementSettings, seed: int):
-    """Spot-check the closed forms on one user-supplied scenario."""
+    """Spot-check the closed forms on one user-supplied scenario, each model
+    against its own oracle band, as in _check_support_oracles."""
     rng = np.random.default_rng(seed)
-    cfg = OracleConfig(seed=seed)
-    worst = 0.0
+    sep_dev = eig_dev = 0.0
     for _ in range(20):
         z = rng.standard_normal((s.m, s.m))
-        worst = _nanmax(
-            worst,
-            abs(geometry.support(SEP, s, z) - oracles.support_sep_oracle(s, z, cfg)),
-            abs(geometry.support(QM, s, z) - oracles.support_qm_oracle(s, z)),
-            abs(geometry.support(MAX, s, z) - oracles.support_max_oracle(s, z)),
-        )
-    return [_result("scenario-spot-check", 20, worst, _TOL_SEP_ORACLE)]
+        sep_dev = _nanmax(sep_dev, abs(geometry.support(SEP, s, z)
+                                       - oracles.support_sep_oracle(s, z)))
+        eig_dev = _nanmax(eig_dev,
+                          abs(geometry.support(QM, s, z) - oracles.support_qm_oracle(s, z)),
+                          abs(geometry.support(MAX, s, z) - oracles.support_max_oracle(s, z)))
+    passed = bool(sep_dev <= _TOL_SEP_ORACLE and eig_dev <= _TOL_EIG)
+    return [CheckResult("scenario-spot-check", passed, 20, float(_nanmax(sep_dev, eig_dev)))]
 
 
 _CHECKS = [

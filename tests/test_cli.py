@@ -372,6 +372,23 @@ def test_verify_reports_failure(capsys, monkeypatch, cached_battery):
     assert "FAIL" in out
 
 
+def test_verify_spot_checks_a_scenario_in_each_models_oracle_band(capsys, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setattr(selfcheck, "_CHECKS", [])
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"A": np.eye(3).tolist(), "B": np.eye(3).tolist()}))
+    for where in (("--scenario", "chsh"), ("--file", str(path))):
+        rc, out, _ = run(capsys, "verify", *where)
+        assert rc == 0
+        assert out.splitlines()[1].startswith("PASS scenario-spot-check ")
+    # inside the separable oracle's 1e-4 band, outside the eigensolve 1e-6 band
+    real = oracles.support_qm_oracle
+    monkeypatch.setattr(oracles, "support_qm_oracle", lambda s, z: real(s, z) + 1e-5)
+    rc, out, _ = run(capsys, "verify", "--file", str(path))
+    assert rc == 1
+    assert out.splitlines()[1].startswith("FAIL scenario-spot-check ")
+
+
 def test_scenario_file_with_state(capsys, tmp_path):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({

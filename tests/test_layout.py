@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 import corrsets
-from corrsets import oracles
+from corrsets import oracles, selfcheck
 
 SRC = pathlib.Path(corrsets.__file__).parent
 
@@ -207,3 +207,32 @@ def test_oracles_forms_no_frame_of_its_own():
                 if isinstance(arg, ast.Attribute) and arg.attr in ("a", "b")]
     assert "gauge_dual_oracle" in _calls_by_function("oracles")["support_stack"]
     assert "ratio_scan" in _calls_by_function("oracles")["gauge_stack"]
+
+
+def test_battery_sizes_are_keys_that_each_check_reads_as_they_stand():
+    # Each count is its own key at both levels, read as sizes["key"] and not
+    # derived from another key's count, so a caller such as the acceptance
+    # gate can pin any one count alone and the level tables say every count.
+    quick, full = (selfcheck._SIZES[level] for level in selfcheck.LEVELS)
+    assert set(quick) == set(full)
+    tree = ast.parse((SRC / "selfcheck.py").read_text(encoding="utf-8"))
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+             and isinstance(n.value, ast.Name) and n.value.id == "sizes"]
+    assert all(isinstance(n.slice, ast.Constant) for n in reads)
+    assert {n.slice.value for n in reads} == set(quick)
+    bound = {target.id for n in ast.walk(tree) if isinstance(n, ast.Assign) and n.value in reads
+             for target in n.targets if isinstance(target, ast.Name)}
+    derived = [n for n in ast.walk(tree)
+               if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv))
+               or (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("max", "min"))]
+    assert not [n.lineno for n in derived for sub in ast.walk(n)
+                if sub in reads or (isinstance(sub, ast.Name) and sub.id in bound)]
+
+
+def test_acceptance_gate_calls_only_checks_the_battery_runs():
+    tree = ast.parse((pathlib.Path(__file__).parent / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    called = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+              and isinstance(n.value, ast.Name) and n.value.id == "selfcheck"
+              and n.attr.startswith("_check_")}
+    assert called and all(getattr(selfcheck, name) in selfcheck._CHECKS for name in called)

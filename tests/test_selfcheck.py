@@ -127,6 +127,19 @@ def test_nan_bell_spectrum_fails_with_its_replay(monkeypatch):
 
 
 
+def test_nan_quantum_gauge_fails_gauge_symmetry(monkeypatch):
+    real = geometry.gauge
+
+    def nan_qm(model, s, c):
+        if model == geometry.QM:
+            return geometry.GaugeValue(False, float("nan"))
+        return real(model, s, c)
+
+    monkeypatch.setattr(geometry, "gauge", nan_qm)
+    result = _run(selfcheck._check_symmetry)["gauge-symmetry"]
+    assert not result.passed and math.isnan(result.worst)
+
+
 class _RecordingRng:
     """A Generator that records the name and output of each draw."""
 
